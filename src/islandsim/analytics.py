@@ -24,6 +24,7 @@ divergent tail raises DivergenceError instead).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,18 +76,47 @@ def _quad(f, a, b, q: QuadratureConfig, points=None):
     return val
 
 
-def _integrate_zero_singular(f, b: float, q: QuadratureConfig, points=None) -> float:
-    """int_0^b f for integrands with an (integrable) singularity at 0.
+def _div(a: float, b: float) -> float:
+    """a / b, with the IEEE value where b == 0: +-inf, or nan for 0/0."""
+    return a / b if b else (math.copysign(math.inf, a) if a else math.nan)
 
-    The slice below the knee is taken in u = log x, where x dx-integrable
-    power singularities become decaying exponentials.
+
+_U_FLOOR = math.log(sys.float_info.min)  # e^u is a normal float above this
+
+
+def _log_slice(f, knee: float, q: QuadratureConfig) -> float:
+    """int_0^knee f(y) dy in u = log y (inf if it diverges at 0).
+
+    g(u) = f(e^u) e^u vanishes where e^u underflows if f is finite at 0.  If
+    f is singular there (inf or nan), the quadrature stops at _U_FLOOR and
+    adds the tail g0/p of the power law g0 e^{p (u - _U_FLOOR)} through g at
+    _U_FLOOR and _U_FLOOR + 1; a rate p <= 1e-9 is not integrable.
+    """
+    def g(u: float) -> float:
+        y = math.exp(u)
+        return f(y) * y
+
+    if math.isfinite(f(0.0)):
+        return _quad(g, -np.inf, math.log(knee), q)
+    g0, g1 = g(_U_FLOOR), g(_U_FLOOR + 1.0)
+    if g0 != 0.0 and not (math.isfinite(g0) and g1 / g0 > math.exp(1e-9)):
+        return math.inf
+    tail = g0 / math.log(g1 / g0) if g0 != 0.0 else 0.0
+    return tail + _quad(g, _U_FLOOR, math.log(knee), q)
+
+
+def _integrate_zero_singular(f, b: float, q: QuadratureConfig, points=None) -> float:
+    """int_0^b f (b may be inf) for integrands with a singularity at 0.
+
+    The slice below the knee is taken in u = log x (see `_log_slice`).
     """
     knee = min(q.singularity_knee, 0.5 * b)
-    low = _quad(lambda u: f(math.exp(u)) * math.exp(u), -np.inf, math.log(knee), q)
+    low = _log_slice(f, knee, q)
     if not math.isfinite(low):
         raise DivergenceError("integral diverges at the lower boundary 0")
-    high = _quad(f, knee, b, q, points=points)
-    return low + high
+    if math.isinf(b):
+        return low + _integrate_to_inf(f, knee, q, points=points)
+    return low + _quad(f, knee, b, q, points=points)
 
 
 def _integrate_to_inf(f, a: float, q: QuadratureConfig, points=None) -> float:
@@ -126,7 +156,8 @@ def _breakpoints(spec: CoefficientSpec):
 
 def _h(spec: CoefficientSpec):
     def h(x: float) -> float:
-        return 2.0 * (float(spec.mu_over_x(x)) - 1.0) / float(spec.sigma2_over_x(x))
+        return _div(2.0 * (float(spec.mu_over_x(x)) - 1.0),
+                    float(spec.sigma2_over_x(x)))
     return h
 
 
@@ -136,7 +167,7 @@ def _H(spec: CoefficientSpec, z: float, q: QuadratureConfig) -> float:
         return 0.0
     h = _h(spec)
     knee = min(q.singularity_knee, z)
-    low = _quad(lambda u: h(math.exp(u)) * math.exp(u), -np.inf, math.log(knee), q)
+    low = _log_slice(h, knee, q)
     if not math.isfinite(low):
         raise DivergenceError("int_0 h diverges; scale density undefined")
     if z <= q.singularity_knee:
@@ -187,7 +218,7 @@ def speed_mass(spec: CoefficientSpec, a: float, b: float,
         return 0.0
 
     def integrand(y: float) -> float:
-        return 2.0 * math.exp(_H(spec, y, q)) / float(spec.sigma2(y))
+        return _div(2.0 * math.exp(_H(spec, y, q)), float(spec.sigma2(y)))
 
     if a > 0.0:
         return _quad(integrand, a, b, q, points=_breakpoints(spec))
@@ -205,16 +236,10 @@ def extinction_criterion(spec: CoefficientSpec,
 
     def integrand(y: float) -> float:
         H = _H(spec, y, q)
-        return 2.0 / float(spec.sigma2_over_x(y)) * math.exp(min(H, 700.0))
+        return _div(2.0, float(spec.sigma2_over_x(y))) * math.exp(min(H, 700.0))
 
-    pts = _breakpoints(spec)
-    if spec.domain.finite:
-        val = _integrate_zero_singular(integrand, spec.domain.upper, q, points=pts)
-    else:
-        knee = q.singularity_knee
-        low = _quad(lambda u: integrand(math.exp(u)) * math.exp(u),
-                    -np.inf, math.log(knee), q)
-        val = low + _integrate_to_inf(integrand, knee, q, points=pts)
+    val = _integrate_zero_singular(integrand, spec.domain.upper, q,
+                                   points=_breakpoints(spec))
     if not math.isfinite(val):
         raise DivergenceError("extinction criterion integral diverged")
     return val

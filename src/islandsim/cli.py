@@ -10,7 +10,6 @@ configuration or usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,8 +18,8 @@ import numpy as np
 from .config import build_spec, load_config
 from .exceptions import (ConfigError, DivergenceError, DomainError,
                          RegimeError, SolverError)
-from .experiments import (ExperimentConfig, ExpDecreasingConcave,
-                          MixedMonomial, SmoothedStep, config_hash,
+from .experiments import (ExperimentConfig, ExperimentReport,
+                          ExpDecreasingConcave, MixedMonomial, SmoothedStep,
                           run_analyze, run_comparison, run_convergence,
                           run_duality, run_identity_suite, snapshot_config)
 from .sde import (MigrationMatrix, TimeGrid, export_path_csv, simulate_level_system,
@@ -102,20 +101,6 @@ def _experiment_config(raw: dict, spec, args) -> ExperimentConfig:
                             **kwargs)
 
 
-def _write_summary(out_dir: str, stem: str, experiment: str, seed: int,
-                   snapshot: dict, metrics: dict, verdicts: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, stem + ".json")
-    with open(path, "w") as fh:
-        json.dump({"experiment": experiment,
-                   "config_hash": config_hash(snapshot),
-                   "seed": seed, "metrics": metrics,
-                   "verdicts": verdicts, "config": snapshot},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def _cmd_analyze(raw, spec, args) -> int:
     cfg = _experiment_config(raw, spec, args)
     report = run_analyze(cfg)
@@ -176,9 +161,9 @@ def _cmd_simulate(raw, spec, args) -> int:
     snap = snapshot_config(cfg)
     snap["mode"] = mode
     vals = path.values
-    _write_summary(args.out, "simulate", "simulate", cfg.seed, snap,
-                   {"nodes": int(vals.shape[0]),
-                    "final_total": float(np.sum(vals[-1]))}, {})
+    ExperimentReport("simulate", cfg.seed, snap, (), [],
+                     {"nodes": int(vals.shape[0]),
+                      "final_total": float(np.sum(vals[-1]))}).write_json(args.out)
     print(f"wrote {csv_path}")
     return 0
 
@@ -200,12 +185,12 @@ def _cmd_tree(raw, spec, args) -> int:
         export_spectrum_csv(snap_t, spec_path)
         extras["spectrum_csv"] = spec_path
     snap = snapshot_config(cfg)
-    _write_summary(args.out, "tree", "tree", cfg.seed, snap,
-                   {"islands": len(tree.islands),
-                    "censored": tree.censored_count,
-                    "dropped_births": tree.dropped_births,
-                    "total_mass_at_horizon": tree.total_mass(cfg.grid.horizon),
-                    **extras}, {})
+    ExperimentReport("tree", cfg.seed, snap, (), [],
+                     {"islands": len(tree.islands),
+                      "censored": tree.censored_count,
+                      "dropped_births": tree.dropped_births,
+                      "total_mass_at_horizon": tree.total_mass(cfg.grid.horizon),
+                      **extras}).write_json(args.out)
     print(f"wrote {csv_path}")
     return 0
 

@@ -290,14 +290,18 @@ class ExperimentReport:
 
     def write(self, out_dir: str, stem: str | None = None):
         """Write <stem>.csv and <stem>.json; returns both paths."""
-        os.makedirs(out_dir, exist_ok=True)
-        stem = stem or self.experiment
-        csv_path = os.path.join(out_dir, stem + ".csv")
-        json_path = os.path.join(out_dir, stem + ".json")
+        json_path = self.write_json(out_dir, stem)
+        csv_path = json_path[:-len(".json")] + ".csv"
         with open(csv_path, "w", newline="") as fh:
             fh.write(",".join(self.columns) + "\n")
             for row in self.rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
+        return csv_path, json_path
+
+    def write_json(self, out_dir: str, stem: str | None = None) -> str:
+        """Write only the <stem>.json summary; returns its path."""
+        os.makedirs(out_dir, exist_ok=True)
+        json_path = os.path.join(out_dir, (stem or self.experiment) + ".json")
         summary = {"experiment": self.experiment,
                    "config_hash": self.config_hash,
                    "seed": self.seed,
@@ -307,7 +311,7 @@ class ExperimentReport:
         with open(json_path, "w") as fh:
             json.dump(summary, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        return csv_path, json_path
+        return json_path
 
 
 def _mean_se(values: np.ndarray):

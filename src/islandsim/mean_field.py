@@ -97,8 +97,8 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
     m2_curve = np.empty(n + 1)
     stored = np.empty((n + 1, n_part)) if store_paths else None
     for k in range(n + 1):
-        mean_curve[k] = math.fsum(v) / n_part
-        m2_curve[k] = math.fsum(x * x for x in v) / n_part
+        mean_curve[k] = math.fsum(v.tolist()) / n_part
+        m2_curve[k] = math.fsum((v * v).tolist()) / n_part
         if stored is not None:
             stored[k] = v
         if k == n:

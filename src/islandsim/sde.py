@@ -4,17 +4,17 @@ Stepping rule: coefficients are evaluated at the clamped previous state and
 the updated state is clamped back into [0, upper].  Both coefficients vanish
 at 0, so a state that reaches 0 with no inflow stays exactly 0.
 
-Boundary handling at 0 comes in two modes.  System simulations use the plain
-clamp ("clip"): with migration or immigration present, 0 is not absorbing
-and the clamp error is a garden-variety discretization error.  For a single
-island 0 IS absorbing, and the clamp is disastrously biased there: paths
-that ought to die keep getting reflected up (at dt = 1e-3 this inflates the
-mean excursion area from level 1e-3 by roughly +80%).  Single-island ops
-therefore default to "bridge": the Gaussian step is left unclamped below 0
-(instant kill), and a surviving step from v to w is additionally killed with
-the Brownian-bridge crossing probability exp(-2 v w / (sigma2(v) dt)), the
-standard boundary correction for absorbed diffusions.  Level crossings used
-as stopping events get the matching bridge up-crossing correction.
+Boundary handling at 0.  The plain clamp ("clip") is disastrously biased
+where 0 is absorbing: paths that ought to die keep getting reflected up (at
+dt = 1e-3 it inflates the mean excursion area from level 1e-3 by ~+80%).
+Single-island ops and the batch system engine therefore default to "exact":
+below `switch_level(dt)` a component takes the exact transition of the
+locally linearized model (`_exact_inflow_substep`), above it an Euler step.
+Single-island Euler steps ("bridge" takes them at every level) kill a path
+that steps to or below 0, or with the Brownian-bridge probability
+exp(-2 v w / (sigma2(v) dt)) on a step from v to w, and stopping levels get
+the matching up-crossing correction.  The object-level system ops and
+`simulate_with_immigration` clamp: 0 is not absorbing with inflow present.
 
 Noise layout.  Object-level ops (those returning Path/SystemPath) draw one
 noise stream per island (and per level in the decomposed systems), keyed by
@@ -70,7 +70,7 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
     def node_of(self, t: float) -> int:
-        """Nearest node index for t (must lie on the grid within 1e-9 dt)."""
+        """Nearest node index for t (must lie on the grid within 1e-6 dt)."""
         k = (t - self.t0) / self.dt
         if abs(k - round(k)) > 1e-6:
             raise ConfigError(f"t={t} is not on the grid")
@@ -273,10 +273,9 @@ def simulate_single(spec: CoefficientSpec, x0: float, grid: TimeGrid,
     one = np.ones(1)
     for k in range(n):
         if 0.0 < v < y_switch:
-            v = float(_exact_substep(aux, v * one,
-                                     float(spec.mu_over_x(v)) * one,
-                                     float(spec.sigma2_over_x(v)) * one, dt)[0])
-            v = min(v, upper)
+            v = min(float(_exact_inflow_substep(
+                aux, v * one, 0.0, float(spec.mu_over_x(v)) * one,
+                float(spec.sigma2_over_x(v)) * one, dt)[0]), upper)
             if v == 0.0:
                 out[k + 1:] = 0.0
                 return Path(grid, out)
@@ -489,34 +488,8 @@ def simulate_loop_free(spec: CoefficientSpec, topology, theta: float, x0,
 # batch Monte Carlo engines (streaming, chunked)
 # ---------------------------------------------------------------------------
 
-def _exact_substep(gen: np.random.Generator, old: np.ndarray, mu_x: np.ndarray,
-                   s2_x: np.ndarray, dt: float) -> np.ndarray:
-    """One exact step of the locally linearized diffusion from `old`.
-
-    Freezing the ratios mu(y)/y and sigma2(y)/y at the previous state gives
-    dY = -b Y dt + sqrt(c Y) dB with b = 1 - mu_x, c = s2_x, whose transition
-    is a scaled zero-df noncentral chi-square: Y' = Gamma(K, 2f) with
-    K ~ Poisson(old e^{-b dt} / (2f)), f = c (1 - e^{-b dt}) / (4b).
-    K = 0 is exact absorption at 0.  Rows with c <= 0 decay deterministically.
-    """
-    b = 1.0 - mu_x
-    c = s2_x
-    bdt = np.clip(b * dt, -50.0, 50.0)
-    em = -np.expm1(-bdt)  # 1 - e^{-b dt}, sign matches b
-    small = np.abs(bdt) < 1e-10
-    f = np.where(small, c * dt * 0.25 * (1.0 - 0.5 * bdt),
-                 c * em / np.where(small, 1.0, 4.0 * b))
-    decay = old * np.exp(-bdt)
-    ok = (c > 0.0) & (old > 0.0)
-    lam_half = np.where(ok, decay / np.where(ok, 2.0 * f, 1.0), 0.0)
-    k = gen.poisson(lam_half)
-    new = gen.gamma(k.astype(float), 2.0 * np.where(ok, f, 1.0))
-    return np.where(ok, new, decay)
-
-
 def _exact_inflow_substep(gen: np.random.Generator, old: np.ndarray,
-                          inflow: np.ndarray, mu_x: np.ndarray,
-                          s2_x: np.ndarray, dt: float) -> np.ndarray:
+                          inflow, mu_x, s2_x, dt: float) -> np.ndarray:
     """Exact step of the locally linearized diffusion with constant inflow.
 
     Freezing mu(y)/y, sigma2(y)/y and the inflow a over the step gives
@@ -524,28 +497,44 @@ def _exact_inflow_substep(gen: np.random.Generator, old: np.ndarray,
     is a scaled noncentral chi-square: Y' = f * X with
     X ~ chi'^2(4a/c, old e^{-b dt}/f), f = c (1 - e^{-b dt}) / (4b),
     sampled as Gamma(2a/c + K, 2f), K ~ Poisson(old e^{-b dt} / (2f)).
-    a = 0 reduces to `_exact_substep` (0 absorbing); a > 0 makes 0 an
+    a = 0 keeps 0 absorbing (K = 0 is the atom at 0); a > 0 makes 0 an
     entrance point, with no clipping bias.  Rows with c <= 0 follow the
-    drift ODE.
+    drift ODE.  inflow, mu_x and s2_x broadcast against old.
+
+    Absorbed components (old == 0, a == 0) are set to 0 without a draw.  The
+    stream is the same as if they were drawn for: numpy's Poisson(0) and
+    Gamma(shape 0) return 0 without consuming bits.
     """
+    live = (old > 0.0) | (inflow > 0.0)
+    if not live.all():
+        new = np.zeros(old.shape)
+        if live.any():
+            new[live] = _exact_inflow_substep(
+                gen, old[live], *(np.broadcast_to(x, old.shape)[live]
+                                  for x in (inflow, mu_x, s2_x)), dt)
+        return new
     b = 1.0 - mu_x
     c = s2_x
     bdt = np.clip(b * dt, -50.0, 50.0)
-    em = -np.expm1(-bdt)
+    em = -np.expm1(-bdt)  # 1 - e^{-b dt}, sign matches b
     small = np.abs(bdt) < 1e-10
-    f = np.where(small, c * dt * 0.25 * (1.0 - 0.5 * bdt),
-                 c * em / np.where(small, 1.0, 4.0 * b))
+    if small.any():
+        f = np.where(small, c * dt * 0.25 * (1.0 - 0.5 * bdt),
+                     c * em / np.where(small, 1.0, 4.0 * b))
+    else:
+        f = c * em / (4.0 * b)
     decay = old * np.exp(-bdt)
+    ok = c > 0.0
+    if ok.all():
+        k = gen.poisson(decay / (2.0 * f))
+        return gen.gamma(2.0 * inflow / c + k, 2.0 * f)
     # ODE fallback value: a/b + (old - a/b) e^{-b dt}, stable form
     ode = decay + inflow * np.where(small, dt * (1.0 - 0.5 * bdt),
                                     em / np.where(small, 1.0, b))
-    ok = c > 0.0
     f_safe = np.where(ok, f, 1.0)
-    lam_half = np.where(ok, decay / (2.0 * f_safe), 0.0)
-    k = gen.poisson(lam_half)
+    k = gen.poisson(np.where(ok, decay / (2.0 * f_safe), 0.0))
     shape = np.where(ok, 2.0 * inflow / np.where(ok, c, 1.0), 0.0) + k
-    new = gen.gamma(shape, 2.0 * f_safe)
-    return np.where(ok, new, ode)
+    return np.where(ok, gen.gamma(shape, 2.0 * f_safe), ode)
 
 
 def _hybrid_matrix_step(gen: np.random.Generator, v: np.ndarray,
@@ -560,16 +549,17 @@ def _hybrid_matrix_step(gen: np.random.Generator, v: np.ndarray,
     """
     flat = v.ravel()
     a = np.broadcast_to(inflow, v.shape).ravel()
-    lo = flat < y_switch
+    below = flat < y_switch
+    lo = np.flatnonzero(below)  # index gathers beat scattered boolean masks
     out = np.empty_like(flat)
-    if not lo.all():
-        hi = ~lo
+    if lo.size < flat.size:
+        hi = np.flatnonzero(~below)
         vh = flat[hi]
         noise = gen.standard_normal(vh.size)
         nh = vh + (a[hi] - vh + spec.mu(vh)) * dt \
             + np.sqrt(spec.sigma2(vh) * dt) * noise
         out[hi] = np.clip(nh, 0.0, upper)
-    if lo.any():
+    if lo.size:
         vl = flat[lo]
         nl = _exact_inflow_substep(gen, vl, a[lo], spec.mu_over_x(vl),
                                    spec.sigma2_over_x(vl), dt)
@@ -697,8 +687,8 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
                 new[hi] = nh
             if lo.size:
                 ol = old[lo]
-                nl = _exact_substep(gen, ol, spec.mu_over_x(ol),
-                                    spec.sigma2_over_x(ol), dt)
+                nl = _exact_inflow_substep(gen, ol, 0.0, spec.mu_over_x(ol),
+                                           spec.sigma2_over_x(ol), dt)
                 nl = np.minimum(nl, upper)
                 if stop_level is not None:
                     cl = nl >= stop_level
@@ -827,13 +817,9 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
                         # per-level proportional coefficient sharing matches
                         # the linear-ratio form the local kernel freezes
                         tot = v.sum(axis=1, keepdims=True)
-                        mu_xt = np.broadcast_to(spec.mu_over_x(tot), v.shape)
-                        s2_xt = np.broadcast_to(spec.sigma2_over_x(tot),
-                                                v.shape)
-                        flat = _exact_inflow_substep(
-                            gen, v.ravel(), lvl_in.ravel(), mu_xt.ravel(),
-                            s2_xt.ravel(), dt)
-                        v = np.minimum(flat.reshape(v.shape), upper)
+                        v = np.minimum(_exact_inflow_substep(
+                            gen, v, lvl_in, spec.mu_over_x(tot),
+                            spec.sigma2_over_x(tot), dt), upper)
                     else:
                         noise = gen.standard_normal((r, L + 1, N))
                         mu_k, s2_k = _level_coeffs(spec, v)

@@ -26,8 +26,8 @@ from . import rng as rngmod
 from .analytics import scale_function
 from .coefficients import CoefficientSpec
 from .exceptions import ConfigError, DomainError, SolverError
-from .sde import (Path, TimeGrid, _bridge_dead, _exact_substep, single_batch_stats,
-                  switch_level)
+from .sde import (Path, TimeGrid, _bridge_dead, _exact_inflow_substep,
+                  single_batch_stats, switch_level)
 
 __all__ = [
     "Excursion", "Island", "VirginIslandTree", "SpectrumSnapshot",
@@ -402,8 +402,8 @@ def _step_slots(spec: CoefficientSpec, old: np.ndarray, dt: float,
             nh = np.where(dead, 0.0, np.maximum(nh, 0.0))
         new[hi] = nh
     if lo.size:
-        nl = _exact_substep(gen, old[lo], spec.mu_over_x(old[lo]),
-                            spec.sigma2_over_x(old[lo]), dt)
+        nl = _exact_inflow_substep(gen, old[lo], 0.0, spec.mu_over_x(old[lo]),
+                                   spec.sigma2_over_x(old[lo]), dt)
         new[lo] = np.minimum(nl, upper)
     return new
 

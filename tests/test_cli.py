@@ -186,6 +186,39 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _power_cfg(tmp_path, kappa3):
+    cfg = tmp_path / f"power_{kappa3}.json"
+    cfg.write_text(json.dumps({
+        "drift": {"family": "power",
+                  "params": {"c1": 1.0, "kappa1": 1.0, "c2": 1.0, "kappa2": 2.0}},
+        "diffusion": {"family": "power",
+                      "params": {"c3": 1.0, "kappa3": kappa3}}}))
+    return str(cfg)
+
+
+def test_analyze_power_diffusion_singular_at_zero(tmp_path, capsys):
+    # sigma2(y)/y = y^{1/2} vanishes at 0, so 2/(sigma2(y)/y) is singular
+    # there; Theta = int_0^inf 2 y^{-1/2} exp(-(4/3) y^{3/2}) dy
+    # = (4/3) (3/4)^{1/3} Gamma(1/3)
+    out = str(tmp_path / "out")
+    assert cli_main(["analyze", "--config", _power_cfg(tmp_path, 1.5),
+                     "--out", out]) == 0
+    capsys.readouterr()
+    rows = dict(line.split(",", 1)
+                for line in open(os.path.join(out, "analyze.csv"))
+                .read().strip().split("\n")[1:])
+    target = (4.0 / 3.0) * 0.75 ** (1.0 / 3.0) * math.gamma(1.0 / 3.0)
+    assert target == pytest.approx(3.2453029, rel=1e-7)
+    assert float(rows["criterion"]) == pytest.approx(target, rel=1e-4)
+
+
+def test_analyze_power_diffusion_divergent_at_zero_exits_3(tmp_path, capsys):
+    # kappa3 = 2: the criterion integrand is 2/y near 0, not integrable
+    assert cli_main(["analyze", "--config", _power_cfg(tmp_path, 2.0),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "diverge" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert cli_main(["--help"]) == 0
     capsys.readouterr()

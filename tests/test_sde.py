@@ -192,6 +192,68 @@ def test_inflow_kernel_zero_inflow_absorbs():
     assert np.all(out >= 0.0)
 
 
+def _draw_every_component(gen, old, inflow, mu_x, s2_x, dt):
+    # reference: the kernel formulas with a Poisson and a Gamma draw for
+    # every component, absorbed ones included
+    b = 1.0 - mu_x
+    c = s2_x
+    bdt = np.clip(b * dt, -50.0, 50.0)
+    em = -np.expm1(-bdt)
+    small = np.abs(bdt) < 1e-10
+    f = np.where(small, c * dt * 0.25 * (1.0 - 0.5 * bdt),
+                 c * em / np.where(small, 1.0, 4.0 * b))
+    decay = old * np.exp(-bdt)
+    ode = decay + inflow * np.where(small, dt * (1.0 - 0.5 * bdt),
+                                    em / np.where(small, 1.0, b))
+    ok = c > 0.0
+    f_safe = np.where(ok, f, 1.0)
+    k = gen.poisson(np.where(ok, decay / (2.0 * f_safe), 0.0))
+    shape = np.where(ok, 2.0 * inflow / np.where(ok, c, 1.0), 0.0) + k
+    return np.where(ok, gen.gamma(shape, 2.0 * f_safe), ode)
+
+
+def test_inflow_kernel_skips_absorbed_without_moving_the_stream():
+    # Absorbed components (old == 0, inflow == 0) are not drawn for; this is
+    # invisible only because numpy's Poisson(0) and Gamma(shape 0) return 0
+    # without consuming bits.  Pin that: same values and same stream state as
+    # a reference that draws for every component.
+    setup = substream(2024, 45)
+    n = 6000
+    kind = setup.integers(0, 6, n)
+    old = np.where(kind == 0, 0.0, setup.uniform(0.0, 0.04, n))  # absorbed
+    old[kind == 1] = 0.0                                         # entrance
+    old[kind == 2] = setup.uniform(0.1, 3.0, (kind == 2).sum())  # Euler range
+    inflow = np.where(kind == 0, 0.0, setup.uniform(0.0, 2.0, n))
+    inflow[kind == 3] = 0.0
+    mu_x = setup.uniform(-2.0, 0.5, n)
+    mu_x[kind == 4] = 1.0                                        # b dt = 0
+    s2_x = setup.uniform(0.5, 3.0, n)
+    s2_x[kind == 5] = setup.choice([0.0, -1.0], (kind == 5).sum())  # c <= 0
+    s2_x[(kind == 0) & (setup.random(n) < 0.3)] = 0.0
+    for dt in (1e-3, 0.05):
+        gen, ref_gen = substream(77, 46), substream(77, 46)
+        out = _exact_inflow_substep(gen, old, inflow, mu_x, s2_x, dt)
+        ref = _draw_every_component(ref_gen, old, inflow, mu_x, s2_x, dt)
+        assert np.array_equal(out, ref)
+        assert gen.random() == ref_gen.random()
+        assert np.all(out[kind == 0] == 0.0)
+        assert np.any(out[kind == 1] > 0.0)
+
+
+def test_inflow_kernel_zero_inflow_rows():
+    # the zero-inflow cases: 0 stays 0 whatever c is, and c <= 0 decays to
+    # old * e^{-b dt} exactly
+    gen = substream(7, 47)
+    old = np.array([0.0, 0.0, 0.01, 0.02, 0.03])
+    mu_x = np.array([0.3, 0.3, 0.3, -0.5, 0.3])
+    s2_x = np.array([2.0, 0.0, 0.0, -1.0, 2.0])
+    dt = 0.01
+    out = _exact_inflow_substep(gen, old, 0.0, mu_x, s2_x, dt)
+    assert out[0] == 0.0 and out[1] == 0.0
+    assert np.array_equal(out[2:4], old[2:4] * np.exp(-(1.0 - mu_x[2:4]) * dt))
+    assert out[4] >= 0.0
+
+
 def test_inflow_kernel_degenerate_diffusion_is_ode():
     gen = substream(7, 44)
     y = np.array([1.0])
