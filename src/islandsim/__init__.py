@@ -49,11 +49,8 @@ from .sde import (
     TimeGrid,
     export_path_csv,
     sample_system_stats,
-    simulate_level_system,
-    simulate_loop_free,
     simulate_single,
     simulate_system,
-    simulate_uniform_system,
     simulate_with_immigration,
     single_batch_stats,
 )

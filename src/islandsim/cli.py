@@ -20,17 +20,20 @@ from .exceptions import (ConfigError, DivergenceError, DomainError,
                          RegimeError, SolverError)
 from .experiments import (ExperimentConfig, ExperimentReport,
                           ExpDecreasingConcave, MixedMonomial, SmoothedStep,
-                          run_analyze, run_comparison, run_convergence,
-                          run_duality, run_identity_suite, snapshot_config)
-from .sde import (MigrationMatrix, TimeGrid, export_path_csv, simulate_level_system,
-                  simulate_loop_free, simulate_single, simulate_system,
-                  simulate_uniform_system)
+                          _system_x0, run_analyze, run_comparison,
+                          run_convergence, run_duality, run_identity_suite,
+                          snapshot_config)
+from .sde import (MigrationMatrix, TimeGrid, export_path_csv, simulate_single,
+                  simulate_system)
 from .virgin_island import build_tree, export_spectrum_csv, export_tree_csv, spectrum
 
 __all__ = ["cli_main", "main"]
 
 _COMMANDS = ("analyze", "simulate", "tree", "duality", "compare", "converge",
              "identities")
+# simulate mode -> simulate_system mode; "single" runs simulate_single
+_SYSTEM_MODES = {"uniform": "unsplit", "matrix": "unsplit", "levels": "levels",
+                 "loop_free": "loop_free"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,35 +127,19 @@ def _cmd_analyze(raw, spec, args) -> int:
 def _cmd_simulate(raw, spec, args) -> int:
     cfg = _experiment_config(raw, spec, args)
     mode = raw.get("mode", "uniform")
-    n_islands = int(raw.get("n_islands", 1 if mode == "single" else 5))
-    x_init = cfg.x_init
     if mode == "single":
-        x0 = x_init[0] if x_init else 0.5
+        x0 = cfg.x_init[0] if cfg.x_init else 0.5
         path = simulate_single(spec, x0, cfg.grid, cfg.seed)
-    elif mode == "uniform":
-        x0 = np.zeros(n_islands)
-        x0[:len(x_init)] = x_init
-        path = simulate_uniform_system(spec, n_islands, cfg.theta, x0,
-                                       cfg.grid, cfg.seed)
-    elif mode == "matrix":
-        top = _topology_from(raw.get("topology"))
-        if not isinstance(top, MigrationMatrix):
+    elif mode in _SYSTEM_MODES:
+        n_islands = int(raw.get("n_islands", 5))
+        top = n_islands if mode in ("uniform", "levels") \
+            else _topology_from(raw.get("topology", n_islands))
+        if mode == "matrix" and not isinstance(top, MigrationMatrix):
             raise ConfigError("matrix mode needs topology.entries")
-        x0 = np.zeros(top.n_islands)
-        x0[:len(x_init)] = x_init
-        path = simulate_system(spec, top, x0, cfg.grid, cfg.seed)
-    elif mode == "levels":
-        x0 = np.zeros(n_islands)
-        x0[:len(x_init)] = x_init
-        path = simulate_level_system(spec, n_islands, cfg.theta, x0,
-                                     cfg.k_max, cfg.grid, cfg.seed)
-    elif mode == "loop_free":
-        top = _topology_from(raw.get("topology", n_islands))
-        x0 = np.zeros(top.n_islands if isinstance(top, MigrationMatrix)
-                      else int(top))
-        x0[:len(x_init)] = x_init
-        path = simulate_loop_free(spec, top, cfg.theta, x0, cfg.k_max,
-                                  cfg.grid, cfg.seed)
+        x0 = _system_x0(cfg.x_init, top.n_islands
+                        if isinstance(top, MigrationMatrix) else top)
+        path = simulate_system(spec, top, cfg.theta, x0, cfg.grid, cfg.seed,
+                               mode=_SYSTEM_MODES[mode], k_max=cfg.k_max)
     else:
         raise ConfigError(f"unknown simulate mode {mode!r}")
     os.makedirs(args.out, exist_ok=True)

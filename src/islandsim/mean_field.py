@@ -20,8 +20,8 @@ import numpy as np
 from . import rng as rngmod
 from .coefficients import CoefficientSpec, LinearDiffusion, Logistic
 from .exceptions import ConfigError, DomainError
-from .sde import (Path, TimeGrid, _hybrid_matrix_step, _noise_columns,
-                  switch_level)
+from .sde import (Path, TimeGrid, _euler_clip, _hybrid_matrix_step,
+                  _noise_columns, switch_level)
 from .virgin_island import sample_tree_stats, total_mass_reducer
 
 __all__ = ["ParticleEnsemble", "simulate_mckean_vlasov", "duality_gap",
@@ -104,9 +104,8 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
         if k == n:
             break
         if gen is None:
-            v = v + (mean_curve[k] - v + spec.mu(v)) * dt \
-                + np.sqrt(spec.sigma2(v) * dt) * noise[k]
-            v = np.clip(v, 0.0, upper)
+            v = _euler_clip(v, mean_curve[k], spec.mu(v), spec.sigma2(v),
+                            noise[k], dt, upper)
         else:
             v = _hybrid_matrix_step(gen, v, mean_curve[k], spec, dt, upper,
                                     y_switch)

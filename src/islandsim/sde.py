@@ -13,11 +13,17 @@ locally linearized model (`_exact_inflow_substep`), above it an Euler step.
 Single-island Euler steps ("bridge" takes them at every level) kill a path
 that steps to or below 0, or with the Brownian-bridge probability
 exp(-2 v w / (sigma2(v) dt)) on a step from v to w, and stopping levels get
-the matching up-crossing correction.  The object-level system ops and
-`simulate_with_immigration` clamp: 0 is not absorbing with inflow present.
+the matching up-crossing correction.  `simulate_with_immigration` and the
+object-level system op clamp: 0 is not absorbing with inflow present.
 
-Noise layout.  Object-level ops (those returning Path/SystemPath) draw one
-noise stream per island (and per level in the decomposed systems), keyed by
+Island systems.  One op, `simulate_system`, runs a system under uniform
+(island count) or matrix migration with immigration theta/N in three modes:
+"unsplit", "levels" (the level decomposition) and "loop_free" (the
+hierarchy between the system and the tree).  `sample_system_stats` streams
+replicates of the same modes; both take every step through `_system_step`.
+
+Noise layout.  Object-level ops (those returning a Path, SystemPath or
+LevelSystemPath) draw one noise stream per island (and per level), keyed by
 (seed, purpose, island, level).  Adding an island or raising the level cap
 therefore never perturbs the noise any existing component sees.  The batch
 Monte Carlo engines trade that for throughput: replicates are processed in
@@ -29,12 +35,12 @@ to the chunk size (a documented constant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rngmod
-from .coefficients import CoefficientSpec
+from .coefficients import CoefficientSpec, LinearDiffusion
 from .exceptions import ConfigError, DomainError
 
 DEFAULT_DT = 1e-3
@@ -247,6 +253,130 @@ def _check_x0(spec: CoefficientSpec, x0) -> None:
 
 
 # ---------------------------------------------------------------------------
+# island systems: routing, inflow and the one step body
+# ---------------------------------------------------------------------------
+
+# mode -> noise purpose of `simulate_system`; `sample_system_stats` keys its
+# chunk streams by the mode's position (1, 2, 3) instead
+_SYSTEM_PURPOSE = {"unsplit": rngmod.SYSTEM, "levels": rngmod.LEVELS,
+                   "loop_free": rngmod.LOOP_FREE}
+
+
+def _check_system(spec: CoefficientSpec, topology, theta: float, x0,
+                  mode: str, k_max: int):
+    """Validate system inputs; return (N, x0 as an array, level cap or None)."""
+    N = topology.n_islands if isinstance(topology, MigrationMatrix) \
+        else int(topology)
+    if N < 1:
+        raise ConfigError("need at least one island")
+    if theta < 0:
+        raise ConfigError("theta must be nonnegative")
+    if mode not in _SYSTEM_PURPOSE:
+        raise ConfigError(f"unknown mode {mode!r}")
+    if int(k_max) < 0:
+        raise ConfigError("k_max must be nonnegative")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (N,):
+        raise ConfigError("x0 must have one entry per island")
+    _check_x0(spec, x0)
+    return N, x0, (None if mode == "unsplit" else int(k_max))
+
+
+def _start_state(x0: np.ndarray, lead: tuple, k_max: int | None) -> np.ndarray:
+    """x0 repeated over the leading axes; with levels, all of it in level 0."""
+    if k_max is None:
+        return np.broadcast_to(x0, lead + x0.shape).copy()
+    v = np.zeros(lead + (k_max + 1, x0.size))
+    v[..., 0, :] = x0
+    return v
+
+
+def _route(topology, x: np.ndarray) -> np.ndarray:
+    """Migration inflow into each island from x (..., islands): the island
+    mean (shape (..., 1)) for an island count, x @ m for a MigrationMatrix.
+    A count is never made a uniform matrix: that is O(N^2) and not bitwise
+    equal to the mean."""
+    if isinstance(topology, MigrationMatrix):
+        return x @ topology.entries
+    return x.mean(axis=-1, keepdims=True)
+
+
+def _system_inflow(topology, theta: float, v: np.ndarray, split: bool):
+    """Inflow into every component of v, and the total rate out of the cap.
+
+    Unsplit: route(v) + theta/N.  Split (v is (..., levels, islands)):
+    theta/N into level 0 and route(level k-1) into level k; the rate out of
+    the cap is what route(top level) sends on, summed over all islands and
+    leading axes.
+    """
+    N = v.shape[-1]
+    if not split:
+        return _route(topology, v) + theta / N, 0.0
+    inflow = np.empty_like(v)
+    inflow[..., 0, :] = theta / N
+    inflow[..., 1:, :] = _route(topology, v[..., :-1, :])
+    top = _route(topology, v[..., -1, :])
+    return inflow, float(top.sum()) * (N / top.shape[-1])
+
+
+def _level_coeffs(spec: CoefficientSpec, v: np.ndarray):
+    """Reaction drift and squared diffusion for a level-decomposed state.
+
+    v has shape (..., levels, islands).  Each level's coefficients are the
+    total-mass coefficients shared out proportionally:
+        drift_k = (v_k / tot) mu(tot),  diff2_k = (v_k / tot) sigma2(tot),
+    extended by 0 where the island total vanishes.
+    """
+    tot = v.sum(axis=-2, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(tot > 0.0, v / np.where(tot > 0.0, tot, 1.0), 0.0)
+    return frac * spec.mu(tot), frac * spec.sigma2(tot)
+
+
+def _euler_clip(v, inflow, drift, diff2, noise, dt: float,
+                upper: float) -> np.ndarray:
+    """Truncated Euler step, clamped back into [0, upper]."""
+    return np.clip(v + (inflow - v + drift) * dt + np.sqrt(diff2 * dt) * noise,
+                   0.0, upper)
+
+
+def _system_step(spec: CoefficientSpec, topology, theta: float, v: np.ndarray,
+                 mode: str, boundary: str, dt: float, gen, noise=None):
+    """One step of a system state; returns (new state, rate out of the cap).
+
+    "clip" is truncated Euler on the given noise (drawn from gen if None).
+    "exact" uses the inflow-aware local kernel on every component for
+    "levels" (its proportional coefficient sharing matches the linear-ratio
+    form the kernel freezes), below `switch_level` for the other modes.
+    Levels are clamped one by one, so on a bounded domain their sum can pass
+    `upper` (and Wright-Fisher sigma2(sum) turn negative); such an island's
+    levels are scaled by upper / sum, the others multiplied by exactly 1.
+    """
+    upper = spec.domain.upper
+    inflow, lost = _system_inflow(topology, theta, v, mode != "unsplit")
+    if boundary == "clip":
+        drift, diff2 = _level_coeffs(spec, v) if mode == "levels" \
+            else (spec.mu(v), spec.sigma2(v))
+        if noise is None:
+            noise = gen.standard_normal(v.shape)
+        v = _euler_clip(v, inflow, drift, diff2, noise, dt, upper)
+    elif mode == "levels":
+        tot = v.sum(axis=-2, keepdims=True)
+        v = np.minimum(_exact_inflow_substep(
+            gen, v, inflow, spec.mu_over_x(tot), spec.sigma2_over_x(tot), dt),
+            upper)
+    else:
+        v = _hybrid_matrix_step(gen, v, inflow, spec, dt, upper,
+                                switch_level(dt, None, upper))
+    if mode == "levels":
+        tot = v.sum(axis=-2, keepdims=True)
+        while (tot > upper).any():  # a rescaled sum can round an ulp high
+            v = v * (upper / np.maximum(tot, upper))
+            tot = v.sum(axis=-2, keepdims=True)
+    return v, lost
+
+
+# ---------------------------------------------------------------------------
 # object-level simulation ops
 # ---------------------------------------------------------------------------
 
@@ -313,175 +443,53 @@ def simulate_with_immigration(spec: CoefficientSpec, profile: ImmigrationProfile
     return Path(grid, out)
 
 
-def simulate_system(spec: CoefficientSpec, migration: MigrationMatrix,
-                    x0, grid: TimeGrid, seed: int) -> SystemPath:
-    """Finite system with substochastic migration.
+def simulate_system(spec: CoefficientSpec, topology, theta: float, x0,
+                    grid: TimeGrid, seed: int, mode: str = "unsplit",
+                    k_max: int = 0):
+    """One path of a finite island system, in one of three views.
 
-    dX(i) = [sum_j X(j) m(j,i) - X(i) + mu(X(i))] dt + sqrt(sigma2(X(i))) dB(i)
+    topology: an island count (uniform routing: every island receives the
+    island mean) or a MigrationMatrix (island i receives sum_j X(j) m(j,i));
+    every island also receives the immigration theta/N.
+
+      "unsplit": dX(i) = [inflow(i) - X(i) + mu(X(i))] dt
+                 + sqrt(sigma2(X(i))) dB(i); returns a SystemPath.
+      "levels": the system decomposed by immigration level.  Level 0
+        receives theta/N, level k >= 1 the routed level k-1.  Reaction terms
+        are the total-mass coefficients shared proportionally (exact in law
+        for the linear diffusion family; marked experimental otherwise), and
+        an island's levels are scaled back where their sum exceeds `upper`.
+      "loop_free": the same routing, but each level runs its own reaction
+        terms, so no mass ever returns to the level it came from.
+
+    The split modes start with all mass in level 0, keep levels 0..k_max and
+    return a LevelSystemPath.  Steps are truncated Euler; noise is one stream
+    per island, or per (island, level).  Paths are stored whole, so a run
+    needing more than 256 MB for them raises ConfigError up front.
     """
-    m = migration.entries
-    N = migration.n_islands
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (N,):
-        raise ConfigError("x0 must have one entry per island")
-    _check_x0(spec, x0)
+    N, x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
     n = grid.n_steps
-    noise = _noise_columns(seed, rngmod.SYSTEM, n, [(i,) for i in range(N)])
-    upper = spec.domain.upper
-    dt = grid.dt
-    out = np.empty((n + 1, N))
-    out[0] = v = x0.copy()
-    for k in range(n):
-        inflow = v @ m
-        v = v + (inflow - v + spec.mu(v)) * dt \
-            + np.sqrt(spec.sigma2(v) * dt) * noise[k]
-        v = np.clip(v, 0.0, upper)
-        out[k + 1] = v
-    return SystemPath(grid, out)
-
-
-def simulate_uniform_system(spec: CoefficientSpec, n_islands: int, theta: float,
-                            x0, grid: TimeGrid, seed: int) -> SystemPath:
-    """Mean-field system of N islands with immigration theta/N per island.
-
-    dX(i) = [mean_j X(j) + theta/N - X(i) + mu(X(i))] dt + sqrt(sigma2(X(i))) dB(i)
-    """
-    N = int(n_islands)
-    if N < 1:
-        raise ConfigError("need at least one island")
-    if theta < 0:
-        raise ConfigError("theta must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (N,):
-        raise ConfigError("x0 must have one entry per island")
-    _check_x0(spec, x0)
-    n = grid.n_steps
-    noise = _noise_columns(seed, rngmod.SYSTEM, n, [(i,) for i in range(N)])
-    upper = spec.domain.upper
-    dt = grid.dt
-    imm = theta / N
-    out = np.empty((n + 1, N))
-    out[0] = v = x0.copy()
-    for k in range(n):
-        inflow = v.mean() + imm
-        v = v + (inflow - v + spec.mu(v)) * dt \
-            + np.sqrt(spec.sigma2(v) * dt) * noise[k]
-        v = np.clip(v, 0.0, upper)
-        out[k + 1] = v
-    return SystemPath(grid, out)
-
-
-def _level_coeffs(spec: CoefficientSpec, v: np.ndarray):
-    """Reaction drift and squared diffusion for a level-decomposed state.
-
-    v has shape (..., levels, islands).  Each level's coefficients are the
-    total-mass coefficients shared out proportionally:
-        drift_k = (v_k / tot) mu(tot),  diff2_k = (v_k / tot) sigma2(tot),
-    extended by 0 where the island total vanishes.
-    """
-    tot = v.sum(axis=-2, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(tot > 0.0, v / np.where(tot > 0.0, tot, 1.0), 0.0)
-    return frac * spec.mu(tot), frac * spec.sigma2(tot)
-
-
-def simulate_level_system(spec: CoefficientSpec, n_islands: int, theta: float,
-                          x0, k_max: int, grid: TimeGrid, seed: int) -> LevelSystemPath:
-    """Uniform system decomposed by immigration level.
-
-    Level 0 receives the external immigration theta/N; level k >= 1 receives
-    the mean of level k-1.  Reaction terms are the total-mass coefficients
-    shared proportionally (exact in law for the linear diffusion family;
-    marked experimental otherwise).  Initial mass sits entirely in level 0.
-    """
-    N, L = int(n_islands), int(k_max)
-    if N < 1 or L < 0:
-        raise ConfigError("need n_islands >= 1 and k_max >= 0")
-    if theta < 0:
-        raise ConfigError("theta must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (N,):
-        raise ConfigError("x0 must have one entry per island")
-    _check_x0(spec, x0)
-    n = grid.n_steps
-    if (n + 1) * (L + 1) * N * 8 > 2**28:
+    v = _start_state(x0, (), L)
+    if (n + 1) * v.size * 8 > 2**28:
         raise ConfigError("grid too large for full storage; use the batch engines")
-    keys = [(i, k) for k in range(L + 1) for i in range(N)]
-    noise = _noise_columns(seed, rngmod.LEVELS, n, keys).reshape(n, L + 1, N)
-    upper = spec.domain.upper
-    dt = grid.dt
-    from .coefficients import LinearDiffusion
-    experimental = not isinstance(spec.diffusion, LinearDiffusion)
-
-    out = np.empty((n + 1, L + 1, N))
-    v = np.zeros((L + 1, N))
-    v[0] = x0
+    keys = [(i,) for i in range(N)] if L is None else \
+        [(i, k) for k in range(L + 1) for i in range(N)]
+    noise = _noise_columns(seed, _SYSTEM_PURPOSE[mode], n, keys).reshape(
+        (n,) + v.shape)
+    out = np.empty((n + 1,) + v.shape)
     out[0] = v
     dropped = 0.0
-    inflow = np.empty((L + 1, N))
     for k in range(n):
-        lvl_mean = v.mean(axis=1)
-        inflow[0, :] = theta / N
-        inflow[1:, :] = lvl_mean[:-1, None]
-        dropped += lvl_mean[L] * N * dt
-        mu_k, s2_k = _level_coeffs(spec, v)
-        v = v + (inflow - v + mu_k) * dt + np.sqrt(s2_k * dt) * noise[k]
-        v = np.clip(v, 0.0, upper)
+        v, lost = _system_step(spec, topology, theta, v, mode, "clip", grid.dt,
+                               None, noise[k])
+        dropped += lost * grid.dt
         out[k + 1] = v
-    return LevelSystemPath(grid, out, dropped_mass=dropped, experimental=experimental)
-
-
-def simulate_loop_free(spec: CoefficientSpec, topology, theta: float, x0,
-                       k_max: int, grid: TimeGrid, seed: int) -> LevelSystemPath:
-    """Loop-free hierarchy: level k is fed by level k-1 but runs its own
-    reaction terms, so no mass ever returns to the level it came from.
-
-    dZ^k(i) = [inflow_k(i) - Z^k(i) + mu(Z^k(i))] dt + sqrt(sigma2(Z^k(i))) dB^k(i)
-
-    topology: either an island count (uniform routing, inflow_k = mean of
-    level k-1 plus theta/N at level 0) or a MigrationMatrix.
-    """
-    if isinstance(topology, MigrationMatrix):
-        m, N, uniform = topology.entries, topology.n_islands, False
-    else:
-        N, uniform = int(topology), True
-        if N < 1:
-            raise ConfigError("need at least one island")
-    L = int(k_max)
-    if theta < 0:
-        raise ConfigError("theta must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (N,):
-        raise ConfigError("x0 must have one entry per island")
-    _check_x0(spec, x0)
-    n = grid.n_steps
-    if (n + 1) * (L + 1) * N * 8 > 2**28:
-        raise ConfigError("grid too large for full storage; use the batch engines")
-    keys = [(i, k) for k in range(L + 1) for i in range(N)]
-    noise = _noise_columns(seed, rngmod.LOOP_FREE, n, keys).reshape(n, L + 1, N)
-    upper = spec.domain.upper
-    dt = grid.dt
-
-    out = np.empty((n + 1, L + 1, N))
-    v = np.zeros((L + 1, N))
-    v[0] = x0
-    out[0] = v
-    dropped = 0.0
-    inflow = np.empty((L + 1, N))
-    for k in range(n):
-        if uniform:
-            lvl_mean = v.mean(axis=1)
-            inflow[0, :] = theta / N
-            inflow[1:, :] = lvl_mean[:-1, None]
-            dropped += lvl_mean[L] * N * dt
-        else:
-            inflow[0, :] = theta / N
-            inflow[1:, :] = v[:-1] @ m
-            dropped += float((v[L] @ m).sum()) * dt
-        v = v + (inflow - v + spec.mu(v)) * dt + np.sqrt(spec.sigma2(v) * dt) * noise[k]
-        v = np.clip(v, 0.0, upper)
-        out[k + 1] = v
-    return LevelSystemPath(grid, out, dropped_mass=dropped, experimental=False)
+    if L is None:
+        return SystemPath(grid, out)
+    experimental = mode == "levels" and not isinstance(spec.diffusion,
+                                                       LinearDiffusion)
+    return LevelSystemPath(grid, out, dropped_mass=dropped,
+                           experimental=experimental)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +564,8 @@ def _hybrid_matrix_step(gen: np.random.Generator, v: np.ndarray,
         hi = np.flatnonzero(~below)
         vh = flat[hi]
         noise = gen.standard_normal(vh.size)
-        nh = vh + (a[hi] - vh + spec.mu(vh)) * dt \
-            + np.sqrt(spec.sigma2(vh) * dt) * noise
-        out[hi] = np.clip(nh, 0.0, upper)
+        out[hi] = _euler_clip(vh, a[hi], spec.mu(vh), spec.sigma2(vh), noise,
+                              dt, upper)
     if lo.size:
         vl = flat[lo]
         nl = _exact_inflow_substep(gen, vl, a[lo], spec.mu_over_x(vl),
@@ -734,107 +741,39 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
     reducers: mapping name -> callable taking the per-island state block,
     shape (r, islands), and returning one number per replicate.  In the
     'levels' and 'loop_free' modes the block passed is the sum over levels.
-    Returns {name: array (n_report_nodes, replicates)} plus '_dropped_mass'
+    Modes and routing are those of `simulate_system`.  Returns {name: array (n_report_nodes, replicates)} plus '_dropped_mass'
     (mean over replicates of the mass lost to the level cap).
 
     boundary "exact" (default) steps components below `switch_level` with
     the inflow-aware local kernel; small masses otherwise pick up a clamp
     bias that inflates the whole system.  "clip" is plain truncated Euler.
     """
-    if isinstance(topology, MigrationMatrix):
-        m, N, uniform = topology.entries, topology.n_islands, False
-    else:
-        N, uniform = int(topology), True
-        m = None
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (N,):
-        raise ConfigError("x0 must have one entry per island")
-    _check_x0(spec, x0)
-    if mode not in ("unsplit", "levels", "loop_free"):
-        raise ConfigError(f"unknown mode {mode!r}")
+    _, x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
     if boundary not in ("exact", "clip"):
         raise ConfigError(f"unknown boundary scheme {boundary!r}")
     report_nodes = sorted(int(k) for k in report_nodes)
     if report_nodes and (report_nodes[0] < 0 or report_nodes[-1] > grid.n_steps):
         raise ConfigError("report nodes outside the grid")
-    upper = spec.domain.upper
-    dt = grid.dt
-    n = grid.n_steps
-    L = int(k_max)
-    y_switch = switch_level(dt, None, upper) if boundary == "exact" else 0.0
+    report_set = {node: j for j, node in enumerate(report_nodes)}
     out = {name: np.empty((len(report_nodes), replicates)) for name in reducers}
     dropped_total = 0.0
 
-    purpose = {"unsplit": 1, "levels": 2, "loop_free": 3}[mode]
-    n_chunks = (replicates + chunk - 1) // chunk
-    for ci in range(n_chunks):
+    purpose = 1 + list(_SYSTEM_PURPOSE).index(mode)
+    for ci in range((replicates + chunk - 1) // chunk):
         r0 = ci * chunk
         r = min(chunk, replicates - r0)
         gen = rngmod.substream(seed, rngmod.EXPERIMENT, tag, purpose, ci)
-        if mode == "unsplit":
-            v = np.broadcast_to(x0, (r, N)).copy()
-        else:
-            v = np.zeros((r, L + 1, N))
-            v[:, 0, :] = x0
-        report_set = {node: j for j, node in enumerate(report_nodes)}
-
-        def record(node, state):
-            j = report_set.get(node)
-            if j is None:
-                return
-            block = state if mode == "unsplit" else state.sum(axis=1)
-            for name, fn in reducers.items():
-                out[name][j, r0:r0 + r] = fn(block)
-
-        record(0, v)
-        for k in range(n):
-            if mode == "unsplit":
-                if uniform:
-                    inflow = v.mean(axis=1, keepdims=True) + theta / N
-                else:
-                    inflow = v @ m + theta / N
-                if boundary == "exact":
-                    v = _hybrid_matrix_step(gen, v, inflow, spec, dt, upper,
-                                            y_switch)
-                else:
-                    noise = gen.standard_normal((r, N))
-                    v = v + (inflow - v + spec.mu(v)) * dt \
-                        + np.sqrt(spec.sigma2(v) * dt) * noise
-                    v = np.clip(v, 0.0, upper)
-            else:
-                lvl_in = np.empty_like(v)
-                if uniform:
-                    lvl_mean = v.mean(axis=2)
-                    lvl_in[:, 0, :] = theta / N
-                    lvl_in[:, 1:, :] = lvl_mean[:, :-1, None]
-                    dropped_total += float(lvl_mean[:, L].sum()) * N * dt / replicates
-                else:
-                    lvl_in[:, 0, :] = theta / N
-                    lvl_in[:, 1:, :] = v[:, :-1, :] @ m
-                    dropped_total += float((v[:, L, :] @ m).sum()) * dt / replicates
-                if mode == "levels":
-                    if boundary == "exact":
-                        # per-level proportional coefficient sharing matches
-                        # the linear-ratio form the local kernel freezes
-                        tot = v.sum(axis=1, keepdims=True)
-                        v = np.minimum(_exact_inflow_substep(
-                            gen, v, lvl_in, spec.mu_over_x(tot),
-                            spec.sigma2_over_x(tot), dt), upper)
-                    else:
-                        noise = gen.standard_normal((r, L + 1, N))
-                        mu_k, s2_k = _level_coeffs(spec, v)
-                        v = v + (lvl_in - v + mu_k) * dt + np.sqrt(s2_k * dt) * noise
-                        v = np.clip(v, 0.0, upper)
-                else:
-                    if boundary == "exact":
-                        v = _hybrid_matrix_step(gen, v, lvl_in, spec, dt,
-                                                upper, y_switch)
-                    else:
-                        noise = gen.standard_normal((r, L + 1, N))
-                        v = v + (lvl_in - v + spec.mu(v)) * dt \
-                            + np.sqrt(spec.sigma2(v) * dt) * noise
-                        v = np.clip(v, 0.0, upper)
-            record(k + 1, v)
+        v = _start_state(x0, (r,), L)
+        for k in range(grid.n_steps + 1):
+            if k:
+                v, lost = _system_step(spec, topology, theta, v, mode, boundary,
+                                       grid.dt, gen)
+                dropped_total += lost * grid.dt / replicates
+            j = report_set.get(k)
+            if j is not None:
+                block = v if L is None else v.sum(axis=1)
+                for name, fn in reducers.items():
+                    out[name][j, r0:r0 + r] = fn(block)
     out["_dropped_mass"] = dropped_total
     return out
 
@@ -845,23 +784,17 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
 
 def export_path_csv(obj, fname: str) -> None:
     """Write t,island,level,value rows; level -1 carries the unsplit view."""
+    if not isinstance(obj, (Path, SystemPath, LevelSystemPath)):
+        raise ConfigError(f"cannot export {type(obj).__name__}")
     times = [float(t) for t in obj.grid.times()]
+    split = isinstance(obj, LevelSystemPath)
+    unsplit = obj.values.sum(axis=1) if split \
+        else obj.values.reshape(len(times), -1)
     with open(fname, "w") as fh:
         fh.write("t,island,level,value\n")
-        if isinstance(obj, Path):
-            for t, v in zip(times, obj.values):
-                fh.write(f"{t!r},0,-1,{float(v)!r}\n")
-        elif isinstance(obj, SystemPath):
-            for k, t in enumerate(times):
-                for i in range(obj.n_islands):
-                    fh.write(f"{t!r},{i},-1,{float(obj.values[k, i])!r}\n")
-        elif isinstance(obj, LevelSystemPath):
-            unsplit = obj.values.sum(axis=1)
-            for k, t in enumerate(times):
-                for i in range(obj.n_islands):
-                    fh.write(f"{t!r},{i},-1,{float(unsplit[k, i])!r}\n")
-                    for lev in range(obj.k_max + 1):
-                        fh.write(f"{t!r},{i},{lev},"
-                                 f"{float(obj.values[k, lev, i])!r}\n")
-        else:
-            raise ConfigError(f"cannot export {type(obj).__name__}")
+        for k, t in enumerate(times):
+            for i in range(unsplit.shape[1]):
+                fh.write(f"{t!r},{i},-1,{float(unsplit[k, i])!r}\n")
+                for lev in range(obj.values.shape[1] if split else 0):
+                    fh.write(f"{t!r},{i},{lev},"
+                             f"{float(obj.values[k, lev, i])!r}\n")

@@ -39,7 +39,7 @@ from islandsim import (
     run_convergence,
     sample_system_stats,
     scale_function,
-    simulate_uniform_system,
+    simulate_system,
     single_batch_stats,
     solve_rho,
 )
@@ -228,8 +228,8 @@ def test_criterion_10_determinism_and_range(tmp_path):
 
     wf = CoefficientSpec(SelectionMutation(0.6, 0.2), WrightFisher(),
                          DomainInterval(1.0))
-    sp = simulate_uniform_system(wf, 8, 0.2, np.full(8, 0.5),
-                                 TimeGrid(0.0, 1.0, 2e-3), seed=64)
+    sp = simulate_system(wf, 8, 0.2, np.full(8, 0.5),
+                         TimeGrid(0.0, 1.0, 2e-3), seed=64)
     bounded_ok = sp.values.min() >= 0.0 and sp.values.max() <= 1.0
 
     grid = TimeGrid(0.0, 1.0, 0.01)

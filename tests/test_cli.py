@@ -69,6 +69,15 @@ def test_simulate_modes(tmp_path):
         assert "final_total" in doc["metrics"]
 
 
+def test_simulate_matrix_mode_applies_theta(tmp_path):
+    cfg = write_cfg(tmp_path, mode="matrix", x_init=[0.0, 0.0], theta=1.0,
+                    topology={"entries": [[0.5, 0.5], [0.5, 0.5]]})
+    out = str(tmp_path / "m")
+    assert cli_main(["simulate", "--config", cfg, "--out", out]) == 0
+    doc = json.load(open(os.path.join(out, "simulate.json")))
+    assert doc["metrics"]["final_total"] > 0.0
+
+
 def test_tree_outputs(tmp_path):
     cfg = write_cfg(tmp_path, theta=1.0, bin_edges=[0.1, 0.5, 1.0],
                     x_init=[0.5])

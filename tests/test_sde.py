@@ -27,11 +27,8 @@ from islandsim import (
     WrightFisher,
     export_path_csv,
     sample_system_stats,
-    simulate_level_system,
-    simulate_loop_free,
     simulate_single,
     simulate_system,
-    simulate_uniform_system,
     simulate_with_immigration,
     single_batch_stats,
 )
@@ -300,25 +297,30 @@ def test_migration_matrix_validation():
 
 def test_uniform_system_shapes_and_trap():
     g = TimeGrid(0.0, 0.5, 0.01)
-    p = simulate_uniform_system(logistic_spec(), 3, 0.0, np.zeros(3), g, seed=1)
+    p = simulate_system(logistic_spec(), 3, 0.0, np.zeros(3), g, seed=1)
     assert p.values.shape == (g.n_steps + 1, 3)
     assert np.all(p.values == 0.0)  # no mass, no immigration
 
 
-def test_system_determinism():
+@pytest.mark.parametrize("mode", ["unsplit", "levels", "loop_free"])
+@pytest.mark.parametrize("topology", [3, MigrationMatrix.uniform(3)],
+                         ids=["count", "matrix"])
+def test_system_determinism(topology, mode):
     g = TimeGrid(0.0, 0.5, 0.01)
-    m = MigrationMatrix.uniform(3)
     x0 = np.array([0.5, 0.2, 0.0])
-    a = simulate_system(logistic_spec(), m, x0, g, seed=9)
-    b = simulate_system(logistic_spec(), m, x0, g, seed=9)
+    a = simulate_system(logistic_spec(), topology, 0.0, x0, g, seed=9,
+                        mode=mode, k_max=2)
+    b = simulate_system(logistic_spec(), topology, 0.0, x0, g, seed=9,
+                        mode=mode, k_max=2)
     assert np.array_equal(a.values, b.values)
-    assert a.total().shape == (g.n_steps + 1,)
+    total = a.total() if mode == "unsplit" else a.unsplit().total()
+    assert total.shape == (g.n_steps + 1,)
 
 
 def test_level_system_levels_sum_to_plausible_total():
     g = TimeGrid(0.0, 1.0, 0.01)
-    p = simulate_level_system(logistic_spec(), 4, 1.0, np.zeros(4), 3, g,
-                              seed=13)
+    p = simulate_system(logistic_spec(), 4, 1.0, np.zeros(4), g, seed=13,
+                        mode="levels", k_max=3)
     assert p.values.shape == (g.n_steps + 1, 4, 4)
     assert np.all(p.values >= 0.0)
     assert p.dropped_mass >= 0.0
@@ -326,8 +328,35 @@ def test_level_system_levels_sum_to_plausible_total():
 
 def test_loop_free_drops_mass_at_cap():
     g = TimeGrid(0.0, 1.0, 0.01)
-    p = simulate_loop_free(logistic_spec(), 4, 1.0, np.zeros(4), 0, g, seed=14)
+    p = simulate_system(logistic_spec(), 4, 1.0, np.zeros(4), g, seed=14,
+                        mode="loop_free", k_max=0)
     assert p.dropped_mass > 0.0
+
+
+def test_level_sums_stay_in_a_bounded_domain():
+    # each level is clamped on its own, so without the level-sum cap an
+    # island's total overshoots 1 and the Wright-Fisher sigma2 turns negative
+    spec = CoefficientSpec(SelectionMutation(0.6, 0.2), WrightFisher(),
+                           DomainInterval(1.0))
+    g = TimeGrid(0.0, 0.3, 2e-3)
+    x0 = np.array([0.05, 0.0, 0.99, 0.002])
+    p = simulate_system(spec, 4, 0.5, x0, g, seed=3, mode="levels", k_max=3)
+    sums = p.values.sum(axis=1)
+    assert not np.isnan(p.values).any() and sums.max() <= 1.0
+    red = {"max": lambda b: b.max(axis=1)}
+    for boundary in ("clip", "exact"):
+        res = sample_system_stats(spec, 4, 0.5, x0, g, 3, 70,
+                                  range(g.n_steps + 1), red, tag=1,
+                                  mode="levels", k_max=3, boundary=boundary)
+        assert not np.isnan(res["max"]).any(), boundary
+        assert res["max"].max() <= 1.0, boundary
+
+
+def test_system_storage_guard_raises_before_allocating():
+    g = TimeGrid(0.0, 1.0, 1e-4)  # 10 001 nodes x 10 000 islands = 800 MB
+    with pytest.raises(ConfigError, match="too large"):
+        simulate_system(logistic_spec(), 10_000, 0.0, np.zeros(10_000), g,
+                        seed=0)
 
 
 def test_system_stats_validation():
@@ -389,8 +418,8 @@ def test_exact_and_clip_boundaries_agree_away_from_zero():
 
 def test_export_path_csv_format(tmp_path):
     g = TimeGrid(0.0, 0.1, 0.05)
-    p = simulate_uniform_system(logistic_spec(), 2, 0.0,
-                                np.array([0.5, 0.25]), g, seed=2)
+    p = simulate_system(logistic_spec(), 2, 0.0, np.array([0.5, 0.25]), g,
+                        seed=2)
     f = tmp_path / "path.csv"
     export_path_csv(p, str(f))
     lines = f.read_text().strip().split("\n")
@@ -403,8 +432,8 @@ def test_export_path_csv_format(tmp_path):
 
 def test_export_level_path_csv_has_level_rows(tmp_path):
     g = TimeGrid(0.0, 0.1, 0.05)
-    p = simulate_level_system(logistic_spec(), 2, 1.0, np.zeros(2), 1, g,
-                              seed=2)
+    p = simulate_system(logistic_spec(), 2, 1.0, np.zeros(2), g, seed=2,
+                        mode="levels", k_max=1)
     f = tmp_path / "path.csv"
     export_path_csv(p, str(f))
     lines = f.read_text().strip().split("\n")
