@@ -131,9 +131,10 @@ def _cmd_simulate(raw, spec, args) -> int:
         x0 = cfg.x_init[0] if cfg.x_init else 0.5
         path = simulate_single(spec, x0, cfg.grid, cfg.seed)
     elif mode in _SYSTEM_MODES:
-        n_islands = int(raw.get("n_islands", 5))
-        top = n_islands if mode in ("uniform", "levels") \
-            else _topology_from(raw.get("topology", n_islands))
+        if "n_islands" in raw:
+            raise ConfigError("simulate takes the island count from "
+                              "'topology'; 'n_islands' is not a key")
+        top = 5 if cfg.topology is None else cfg.topology
         if mode == "matrix" and not isinstance(top, MigrationMatrix):
             raise ConfigError("matrix mode needs topology.entries")
         x0 = _system_x0(cfg.x_init, top.n_islands

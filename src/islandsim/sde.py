@@ -16,6 +16,14 @@ exp(-2 v w / (sigma2(v) dt)) on a step from v to w, and stopping levels get
 the matching up-crossing correction.  `simulate_with_immigration` and the
 object-level system op clamp: 0 is not absorbing with inflow present.
 
+Single islands (no inflow) take one of two steps.  The batch engines
+(`single_batch_stats`, `virgin_island.sample_tree_stats`) use the vector
+`_absorbing_step`, which draws nothing for absorbed components.  The
+object-level ops (`simulate_single`, the excursions of `build_tree`) use the
+scalar loop `_single_path`, about 7x cheaper per step than the vector step on
+1-element arrays; its exact branch is `_exact_inflow_substep` with inflow 0
+in scalar form, consuming the same draws.
+
 Island systems.  One op, `simulate_system`, runs a system under uniform
 (island count) or matrix migration with immigration theta/N in three modes:
 "unsplit", "levels" (the level decomposition) and "loop_free" (the
@@ -25,7 +33,9 @@ replicates of the same modes; both take every step through `_system_step`.
 Noise layout.  Object-level ops (those returning a Path, SystemPath or
 LevelSystemPath) draw one noise stream per island (and per level), keyed by
 (seed, purpose, island, level).  Adding an island or raising the level cap
-therefore never perturbs the noise any existing component sees.  The batch
+therefore never perturbs the noise any existing component sees.
+`simulate_single` takes all its draws from the one stream (seed, SINGLE, 0).
+Object-level ops refuse (ConfigError) a stored path over 256 MB.  The batch
 Monte Carlo engines trade that for throughput: replicates are processed in
 fixed-size chunks, each chunk fed by its own (seed, tag, chunk) stream, so
 results are reproducible and independent of worker count but not invariant
@@ -252,6 +262,18 @@ def _check_x0(spec: CoefficientSpec, x0) -> None:
         raise DomainError("initial state outside the domain")
 
 
+def _check_boundary(boundary: str) -> None:
+    """Reject a boundary mode the single-island ops do not know."""
+    if boundary not in ("exact", "bridge", "clip"):
+        raise ConfigError("boundary must be 'exact', 'bridge' or 'clip'")
+
+
+def _check_storage(grid: TimeGrid, width: int) -> None:
+    """Refuse an object-level path of `width` floats per node over 256 MB."""
+    if (grid.n_steps + 1) * width * 8 > 2**28:
+        raise ConfigError("grid too large for full storage; use the batch engines")
+
+
 # ---------------------------------------------------------------------------
 # island systems: routing, inflow and the one step body
 # ---------------------------------------------------------------------------
@@ -386,60 +408,73 @@ def simulate_single(spec: CoefficientSpec, x0: float, grid: TimeGrid,
 
     0 is absorbing here; `boundary` selects its handling as in
     `single_batch_stats` ("exact" hybrid default, "bridge", or "clip").
+    The path is 0 from its absorption node on.
     """
     _check_x0(spec, x0)
-    if boundary not in ("exact", "bridge", "clip"):
-        raise ConfigError("boundary must be 'exact', 'bridge' or 'clip'")
-    n = grid.n_steps
-    noise = _noise_columns(seed, rngmod.SINGLE, n, [(0,)])[:, 0]
-    aux = rngmod.substream(seed, rngmod.SINGLE, 0, 1)
-    kill_u = aux.random(n) if boundary != "clip" else None
+    _check_boundary(boundary)
+    _check_storage(grid, 1)
+    values, _ = _single_path(spec, x0, grid.dt, grid.n_steps,
+                             rngmod.substream(seed, rngmod.SINGLE, 0), boundary)
+    return Path(grid, np.pad(values, (0, grid.n_steps + 1 - values.size)))
+
+
+def _single_path(spec: CoefficientSpec, x0: float, dt: float, n_max: int,
+                 gen: np.random.Generator, boundary: str):
+    """Scalar single-island path from x0 until absorption or n_max steps.
+
+    Returns (values, censored): values[0] = x0 and, unless censored, the last
+    entry is exactly 0 (the absorption node).
+    """
     upper = spec.domain.upper
-    dt = grid.dt
-    sdt = math.sqrt(dt)
     y_switch = switch_level(dt, None, upper) if boundary == "exact" else 0.0
-    out = np.empty(n + 1)
-    out[0] = v = float(x0)
-    one = np.ones(1)
-    for k in range(n):
+    sdt = math.sqrt(dt)
+    buf = np.empty(n_max + 1)
+    buf[0] = v = float(x0)
+    n = 0
+    for n in range(1, n_max + 1):
         if 0.0 < v < y_switch:
-            v = min(float(_exact_inflow_substep(
-                aux, v * one, 0.0, float(spec.mu_over_x(v)) * one,
-                float(spec.sigma2_over_x(v)) * one, dt)[0]), upper)
-            if v == 0.0:
-                out[k + 1:] = 0.0
-                return Path(grid, out)
+            b = 1.0 - float(spec.mu_over_x(v))
+            c = float(spec.sigma2_over_x(v))
+            bdt = min(max(b * dt, -50.0), 50.0)
+            if c <= 0.0:
+                v = min(v * math.exp(-bdt), upper)
+            else:
+                em = -math.expm1(-bdt)
+                f = c * dt * 0.25 * (1.0 - 0.5 * bdt) if abs(bdt) < 1e-10 \
+                    else c * em / (4.0 * b)
+                k = int(gen.poisson(v * math.exp(-bdt) / (2.0 * f)))
+                v = min(float(gen.gamma(k, 2.0 * f)), upper) if k else 0.0
         else:
             s2 = float(spec.sigma2(v))
-            w = v + (-v + float(spec.mu(v))) * dt + math.sqrt(s2) * sdt * noise[k]
-            if kill_u is not None and v > 0.0:
-                if w <= 0.0 or (s2 > 0.0
-                                and kill_u[k] < math.exp(-2.0 * v * w / (s2 * dt))):
-                    out[k + 1:] = 0.0
-                    return Path(grid, out)
-                v = min(w, upper)
-            else:
+            w = v + (-v + float(spec.mu(v))) * dt \
+                + math.sqrt(s2) * sdt * float(gen.standard_normal())
+            if boundary == "clip":
                 v = min(max(w, 0.0), upper)
-        out[k + 1] = v
-    return Path(grid, out)
+            elif w <= 0.0 or (s2 > 0.0 and v > 0.0 and float(gen.random())
+                              < math.exp(-2.0 * v * w / (s2 * dt))):
+                v = 0.0
+            else:
+                v = min(w, upper)
+        buf[n] = v
+        if v == 0.0:
+            break
+    buf.resize(n + 1, refcheck=False)  # trims in place: a long path is not copied
+    return buf, v > 0.0
 
 
 def simulate_with_immigration(spec: CoefficientSpec, profile: ImmigrationProfile,
                               x0: float, grid: TimeGrid, seed: int) -> Path:
     """One island with inflow: dY = (zeta(t) - Y + mu(Y)) dt + sqrt(sigma2) dB."""
     _check_x0(spec, x0)
+    _check_storage(grid, 1)
     n = grid.n_steps
     zeta = profile.rates(grid)
     noise = _noise_columns(seed, rngmod.IMMIGRATION, n, [(0,)])[:, 0]
-    upper = spec.domain.upper
-    sdt = math.sqrt(grid.dt)
     out = np.empty(n + 1)
     out[0] = v = float(x0)
     for k in range(n):
-        v = v + (zeta[k] - v + float(spec.mu(v))) * grid.dt \
-            + math.sqrt(float(spec.sigma2(v))) * sdt * noise[k]
-        v = min(max(v, 0.0), upper)
-        out[k + 1] = v
+        out[k + 1] = v = _euler_clip(v, zeta[k], spec.mu(v), spec.sigma2(v),
+                                     noise[k], grid.dt, spec.domain.upper)
     return Path(grid, out)
 
 
@@ -470,8 +505,7 @@ def simulate_system(spec: CoefficientSpec, topology, theta: float, x0,
     N, x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
     n = grid.n_steps
     v = _start_state(x0, (), L)
-    if (n + 1) * v.size * 8 > 2**28:
-        raise ConfigError("grid too large for full storage; use the batch engines")
+    _check_storage(grid, v.size)
     keys = [(i,) for i in range(N)] if L is None else \
         [(i, k) for k in range(L + 1) for i in range(N)]
     noise = _noise_columns(seed, _SYSTEM_PURPOSE[mode], n, keys).reshape(
@@ -574,27 +608,59 @@ def _hybrid_matrix_step(gen: np.random.Generator, v: np.ndarray,
     return out.reshape(v.shape)
 
 
-def _bridge_dead(u: np.ndarray, old: np.ndarray, new: np.ndarray,
-                 denom: np.ndarray) -> np.ndarray:
-    """Absorption test at 0 for one Euler step from old to new.
+def _absorbing_step(spec: CoefficientSpec, old: np.ndarray, dt: float,
+                    gen: np.random.Generator, y_switch: float, boundary: str,
+                    stop_level: float | None = None):
+    """One step of independent single islands (no inflow, 0 absorbing).
 
-    denom = sigma2(old) * dt.  A step ending at new <= 0 is dead outright;
-    a step staying positive is killed with the Brownian-bridge touch
-    probability exp(-2 old new / denom), compared against the uniform u.
+    Returns (new, crossed); crossed marks up-crossings of stop_level (None
+    without one).  Components at 0 take no draw.  Those below y_switch take
+    `_exact_inflow_substep` with inflow 0, the rest an Euler step from v to
+    w followed by the clamp ("clip", crossing seen at the node only) or by
+    the bridge tests: killed if w <= 0 or with the touch probability
+    exp(-2 v w / (sigma2(v) dt)), crossed if w >= stop_level or with
+    exp(-2 (stop_level - v)(stop_level - w) / (sigma2(v) dt)).  One uniform
+    serves both tests: the 0- and stop_level-adjacent regions where either
+    probability is non-negligible are never both one step away.  Draw order:
+    normals, uniforms, then the exact kernel's Poisson and Gamma.
     """
-    safe = np.where(denom > 0.0, denom, 1.0)
-    p = np.where((denom > 0.0) & (new > 0.0) & (old > 0.0),
-                 np.exp(-2.0 * old * np.maximum(new, 0.0) / safe), 0.0)
-    return (new <= 0.0) | (u < p)
-
-
-def _bridge_crossed(u: np.ndarray, old: np.ndarray, new: np.ndarray,
-                    level: float, denom: np.ndarray) -> np.ndarray:
-    """Up-crossing test of `level` for one Euler step from old (< level)."""
-    safe = np.where(denom > 0.0, denom, 1.0)
-    p = np.where((denom > 0.0) & (new < level),
-                 np.exp(-2.0 * (level - old) * (level - new) / safe), 0.0)
-    return (new >= level) | (u < p)
+    upper = spec.domain.upper
+    pos = old > 0.0
+    lo = np.flatnonzero(pos & (old < y_switch))
+    hi = np.flatnonzero(pos & (old >= y_switch))
+    new = np.zeros_like(old)
+    crossed = None if stop_level is None else np.zeros(old.shape, dtype=bool)
+    if hi.size:
+        oh = old[hi]
+        s2dt = spec.sigma2(oh) * dt
+        nh = np.minimum(oh + (-oh + spec.mu(oh)) * dt
+                        + np.sqrt(s2dt) * gen.standard_normal(hi.size), upper)
+        if boundary == "clip":
+            nh = np.maximum(nh, 0.0)
+            if crossed is not None:
+                crossed[hi] = nh >= stop_level
+        else:
+            u = gen.random(hi.size)
+            ok = s2dt > 0.0
+            safe = np.where(ok, s2dt, 1.0)
+            dead = (nh <= 0.0) | (u < np.where(
+                ok & (nh > 0.0), np.exp(-2.0 * oh * np.maximum(nh, 0.0) / safe),
+                0.0))
+            if crossed is not None:
+                crossed[hi] = ch = (nh >= stop_level) | (u < np.where(
+                    ok & (nh < stop_level),
+                    np.exp(-2.0 * (stop_level - oh) * (stop_level - nh) / safe),
+                    0.0))
+                dead &= ~ch
+            nh = np.where(dead, 0.0, np.maximum(nh, 0.0))
+        new[hi] = nh
+    if lo.size:
+        ol = old[lo]
+        new[lo] = np.minimum(_exact_inflow_substep(
+            gen, ol, 0.0, spec.mu_over_x(ol), spec.sigma2_over_x(ol), dt), upper)
+        if crossed is not None:
+            crossed[lo] = new[lo] >= stop_level
+    return new, crossed
 
 
 @dataclass
@@ -643,10 +709,9 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
     peak and area stop at the detection step.
     """
     _check_x0(spec, x0)
-    if boundary not in ("exact", "bridge", "clip"):
-        raise ConfigError("boundary must be 'exact', 'bridge' or 'clip'")
-    upper = spec.domain.upper
-    y_switch = switch_level(dt, stop_level, upper) if boundary == "exact" else 0.0
+    _check_boundary(boundary)
+    y_switch = switch_level(dt, stop_level, spec.domain.upper) \
+        if boundary == "exact" else 0.0
 
     areas, peaks, hits = [], [], []
     censored = 0
@@ -661,64 +726,18 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
         cur_v = np.full(b, float(x0))
         steps = 0
         while idx.size and steps < max_steps:
-            old = cur_v
-            lo = old < y_switch  # all False unless hybrid mode
-            hi = np.nonzero(~lo)[0]
-            lo = np.nonzero(lo)[0]
-            new = np.empty_like(old)
-            crossed = None
-            if hi.size:
-                oh = old[hi]
-                s2dt = spec.sigma2(oh) * dt
-                nh = oh + (-oh + spec.mu(oh)) * dt \
-                    + np.sqrt(s2dt) * gen.standard_normal(hi.size)
-                nh = np.minimum(nh, upper)
-                if boundary == "clip":
-                    nh = np.maximum(nh, 0.0)
-                    ch = (nh >= stop_level) if stop_level is not None else None
-                else:
-                    # One uniform serves both boundary tests: the 0- and
-                    # stop_level-adjacent regions where either probability
-                    # is non-negligible are never both one step away.
-                    u = gen.random(hi.size)
-                    if stop_level is not None:
-                        ch = _bridge_crossed(u, oh, nh, stop_level, s2dt)
-                        dead = ~ch & _bridge_dead(u, oh, nh, s2dt)
-                    else:
-                        ch = None
-                        dead = _bridge_dead(u, oh, nh, s2dt)
-                    nh = np.where(dead, 0.0, np.maximum(nh, 0.0))
-                if ch is not None:
-                    crossed = np.zeros(old.size, dtype=bool)
-                    crossed[hi] = ch
-                new[hi] = nh
-            if lo.size:
-                ol = old[lo]
-                nl = _exact_inflow_substep(gen, ol, 0.0, spec.mu_over_x(ol),
-                                           spec.sigma2_over_x(ol), dt)
-                nl = np.minimum(nl, upper)
-                if stop_level is not None:
-                    cl = nl >= stop_level
-                    if cl.any():
-                        if crossed is None:
-                            crossed = np.zeros(old.size, dtype=bool)
-                        crossed[lo] = cl
-                new[lo] = nl
+            new, crossed = _absorbing_step(spec, cur_v, dt, gen, y_switch,
+                                           boundary, stop_level)
             if crossed is not None and crossed.any():
                 hit[idx] |= crossed
                 new = np.where(crossed, 0.0, new)
-            area[idx] += 0.5 * (old + new) * dt
-            np.maximum(peak[idx], new, out=peak[idx])
+            area[idx] += 0.5 * (cur_v + new) * dt
+            peak[idx] = np.maximum(peak[idx], new)
             cur_v = new
             steps += 1
-            if steps % 64 == 0:
+            if steps % 64 == 0 or not cur_v.any():  # drop absorbed paths
                 alive = cur_v > 0.0
-                if not alive.all():
-                    keep = np.nonzero(alive)[0]
-                    idx = idx[keep]
-                    cur_v = cur_v[keep]
-            elif not (cur_v > 0.0).any():
-                idx = idx[:0]
+                idx, cur_v = idx[alive], cur_v[alive]
         if idx.size:
             censored += int((cur_v > 0.0).sum())
         areas.append(area)

@@ -26,8 +26,8 @@ from . import rng as rngmod
 from .analytics import scale_function
 from .coefficients import CoefficientSpec
 from .exceptions import ConfigError, DomainError, SolverError
-from .sde import (Path, TimeGrid, _bridge_dead, _exact_inflow_substep,
-                  single_batch_stats, switch_level)
+from .sde import (Path, TimeGrid, _absorbing_step, _check_boundary,
+                  _single_path, single_batch_stats, switch_level)
 
 __all__ = [
     "Excursion", "Island", "VirginIslandTree", "SpectrumSnapshot",
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 TREE_CHUNK = 4096  # replicates per chunk in the ensemble engine
-_BOUNDARIES = ("exact", "bridge", "clip")
 
 
 def excursion_mass_above(spec: CoefficientSpec, delta: float) -> float:
@@ -46,53 +45,6 @@ def excursion_mass_above(spec: CoefficientSpec, delta: float) -> float:
     if not 0.0 < delta < spec.domain.upper:
         raise ConfigError("delta must lie strictly inside the domain")
     return 1.0 / scale_function(spec, delta)
-
-
-def _check_boundary(boundary: str) -> None:
-    if boundary not in _BOUNDARIES:
-        raise ConfigError("boundary must be one of 'exact', 'bridge', 'clip'")
-
-
-def _excursion_values(spec: CoefficientSpec, x0: float, dt: float, n_max: int,
-                      gen: np.random.Generator, boundary: str):
-    """Scalar single-island path from x0 until absorption or n_max steps.
-
-    Returns (values, censored): values[0] = x0 and, unless censored, the last
-    entry is exactly 0 (the absorption node).
-    """
-    upper = spec.domain.upper
-    y_switch = switch_level(dt, None, upper) if boundary == "exact" else 0.0
-    sdt = math.sqrt(dt)
-    buf = [float(x0)]
-    v = float(x0)
-    for _ in range(n_max):
-        if 0.0 < v < y_switch:
-            b = 1.0 - float(spec.mu_over_x(v))
-            c = float(spec.sigma2_over_x(v))
-            bdt = min(max(b * dt, -50.0), 50.0)
-            if c <= 0.0:
-                v = min(v * math.exp(-bdt), upper)
-            else:
-                em = -math.expm1(-bdt)
-                f = c * dt * 0.25 * (1.0 - 0.5 * bdt) if abs(bdt) < 1e-10 \
-                    else c * em / (4.0 * b)
-                k = int(gen.poisson(v * math.exp(-bdt) / (2.0 * f)))
-                v = min(float(gen.gamma(k, 2.0 * f)), upper) if k else 0.0
-        else:
-            s2 = float(spec.sigma2(v))
-            w = v + (-v + float(spec.mu(v))) * dt \
-                + math.sqrt(s2) * sdt * float(gen.standard_normal())
-            if boundary == "clip":
-                v = min(max(w, 0.0), upper)
-            elif w <= 0.0 or (s2 > 0.0 and v > 0.0 and float(gen.random())
-                              < math.exp(-2.0 * v * w / (s2 * dt))):
-                v = 0.0
-            else:
-                v = min(w, upper)
-        buf.append(v)
-        if v == 0.0:
-            break
-    return np.asarray(buf), v > 0.0
 
 
 @dataclass
@@ -164,8 +116,8 @@ def sample_excursion(spec: CoefficientSpec, delta: float, grid: TimeGrid,
             raise SolverError("rejection sampling failed to accept; "
                               "delta too large for this spec?")
     gen = rngmod.substream(seed, rngmod.EXCURSION, island_key, 0)
-    values, censored = _excursion_values(spec, delta, grid.dt, grid.n_steps,
-                                         gen, boundary)
+    values, censored = _single_path(spec, delta, grid.dt, grid.n_steps, gen,
+                                    boundary)
     path = Path(TimeGrid(0.0, (len(values) - 1) * grid.dt, grid.dt), values)
     return Excursion(path=path, censored=censored, attempts=attempts)
 
@@ -336,8 +288,8 @@ def build_tree(spec: CoefficientSpec, x_init, theta: float, T: float,
             n_max = max(1, int(math.ceil((T - s) / dt - 1e-9)))
             if mass is not None:
                 gen_p = rngmod.substream(seed, rngmod.EXCURSION, iid, 0)
-                values, cens = _excursion_values(spec, mass, dt, n_max,
-                                                 gen_p, boundary)
+                values, cens = _single_path(spec, mass, dt, n_max, gen_p,
+                                            boundary)
                 exc = Excursion(Path(TimeGrid(0.0, (len(values) - 1) * dt, dt),
                                      values), censored=cens)
             else:
@@ -381,33 +333,6 @@ def bin_count_reducer(lo: float, hi: float):
     return reduce
 
 
-def _step_slots(spec: CoefficientSpec, old: np.ndarray, dt: float,
-                gen: np.random.Generator, upper: float, y_switch: float,
-                boundary: str) -> np.ndarray:
-    """One boundary-aware step for a flat array of independent islands."""
-    pos = old > 0.0
-    lo = np.nonzero(pos & (old < y_switch))[0]
-    hi = np.nonzero(pos & (old >= y_switch))[0]
-    new = np.zeros_like(old)
-    if hi.size:
-        oh = old[hi]
-        s2dt = spec.sigma2(oh) * dt
-        nh = oh + (-oh + spec.mu(oh)) * dt \
-            + np.sqrt(s2dt) * gen.standard_normal(hi.size)
-        nh = np.minimum(nh, upper)
-        if boundary == "clip":
-            nh = np.maximum(nh, 0.0)
-        else:
-            dead = _bridge_dead(gen.random(hi.size), oh, nh, s2dt)
-            nh = np.where(dead, 0.0, np.maximum(nh, 0.0))
-        new[hi] = nh
-    if lo.size:
-        nl = _exact_inflow_substep(gen, old[lo], 0.0, spec.mu_over_x(old[lo]),
-                                   spec.sigma2_over_x(old[lo]), dt)
-        new[lo] = np.minimum(nl, upper)
-    return new
-
-
 def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                       grid: TimeGrid, seed: int, replicates: int,
                       report_nodes, reducers, tag: int,
@@ -441,8 +366,8 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
     if nodes and (nodes[0] < 0 or nodes[-1] > n):
         raise ConfigError("report nodes must lie on the grid")
     dt = grid.dt
-    upper = spec.domain.upper
-    y_switch = switch_level(dt, None, upper) if boundary == "exact" else 0.0
+    y_switch = switch_level(dt, None, spec.domain.upper) \
+        if boundary == "exact" else 0.0
     inv_mass = 1.0 / scale_function(spec, delta)
     birth_rate = dt * inv_mass
     imm_lam = theta * dt * inv_mass
@@ -476,7 +401,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                 imm = gen.poisson(imm_lam, size=r)
             else:
                 imm = None
-            val = _step_slots(spec, val, dt, gen, upper, y_switch, boundary)
+            val, _ = _absorbing_step(spec, val, dt, gen, y_switch, boundary)
             grow = [np.repeat(rep, counts)] if counts.any() else []
             grow_g = [np.repeat(gens + 1, counts)] if counts.any() else []
             if imm is not None and imm.any():

@@ -52,11 +52,11 @@ def test_analyze_criterion_in_csv_and_stdout(tmp_path, capsys):
 
 def test_simulate_modes(tmp_path):
     for mode, extra in (("single", {}),
-                        ("uniform", {"n_islands": 3, "theta": 1.0}),
-                        ("levels", {"n_islands": 2, "theta": 1.0, "k_max": 2}),
+                        ("uniform", {"topology": 3, "theta": 1.0}),
+                        ("levels", {"topology": 2, "theta": 1.0, "k_max": 2}),
                         ("matrix", {"topology": {
                             "entries": [[0.5, 0.5], [0.5, 0.5]]}}),
-                        ("loop_free", {"n_islands": 2, "theta": 1.0,
+                        ("loop_free", {"topology": 2, "theta": 1.0,
                                        "k_max": 1})):
         cfg = write_cfg(tmp_path, f"{mode}.json", mode=mode,
                         x_init=[0.5], **extra)
@@ -67,6 +67,25 @@ def test_simulate_modes(tmp_path):
         doc = json.load(open(os.path.join(out, "simulate.json")))
         assert doc["config"]["mode"] == mode
         assert "final_total" in doc["metrics"]
+
+
+def test_simulate_reads_topology_in_every_system_mode(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, mode="uniform", topology=20, x_init=[0.05] * 20)
+    out = str(tmp_path / "u")
+    assert cli_main(["simulate", "--config", cfg, "--out", out]) == 0
+    rows = open(os.path.join(out, "simulate.csv")).read().strip().split("\n")
+    assert {int(r.split(",")[1]) for r in rows[1:]} == set(range(20))
+    cfg = write_cfg(tmp_path, "old.json", mode="levels", n_islands=3)
+    assert cli_main(["simulate", "--config", cfg, "--out", out]) == 2
+    assert "topology" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["single", "uniform"])
+def test_simulate_huge_grid_exits_2(tmp_path, capsys, mode):
+    cfg = write_cfg(tmp_path, mode=mode, dt=1e-9)
+    assert cli_main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "h")]) == 2
+    assert "too large" in capsys.readouterr().err
 
 
 def test_simulate_matrix_mode_applies_theta(tmp_path):

@@ -32,7 +32,8 @@ from islandsim import (
     simulate_with_immigration,
     single_batch_stats,
 )
-from islandsim.sde import _exact_inflow_substep, switch_level
+from islandsim.sde import (_absorbing_step, _exact_inflow_substep, _single_path,
+                           switch_level)
 from islandsim.rng import substream
 
 
@@ -100,6 +101,33 @@ def test_path_helpers():
     assert p.area() == pytest.approx(0.25 * (1.5 + 1.5 + 0.5 + 0.0))
 
 
+def test_single_ops_storage_guard_raises_before_allocating():
+    g = TimeGrid(0.0, 1.0, 1e-8)  # 1e8 nodes = 800 MB
+    with pytest.raises(ConfigError, match="too large"):
+        simulate_single(logistic_spec(), 0.5, g, seed=0)
+    with pytest.raises(ConfigError, match="too large"):
+        simulate_with_immigration(feller(), ImmigrationProfile.constant(1.0),
+                                  0.5, g, seed=0)
+
+
+def test_scalar_exact_branch_matches_the_vector_kernel():
+    # one _single_path step below the switch level is the scalar form of
+    # _exact_inflow_substep with inflow 0: the same draws, values to 1e-12
+    wf = CoefficientSpec(SelectionMutation(0.6, 0.2), WrightFisher(),
+                         DomainInterval(1.0))
+    dt = 2e-3
+    for spec in (feller(), logistic_spec(), wf):
+        y_switch = switch_level(dt, None, spec.domain.upper)
+        for i, x in enumerate(np.linspace(1e-4, y_switch, 40, endpoint=False)):
+            gen, ref_gen = substream(55, i), substream(55, i)
+            values, _ = _single_path(spec, x, dt, 1, gen, "exact")
+            ref = np.minimum(_exact_inflow_substep(
+                ref_gen, np.array([x]), 0.0, spec.mu_over_x(np.array([x])),
+                spec.sigma2_over_x(np.array([x])), dt), spec.domain.upper)[0]
+            assert values[1] == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert gen.random() == ref_gen.random()
+
+
 def test_finite_domain_clamp():
     spec = CoefficientSpec(SelectionMutation(2.0, 0.1), WrightFisher(),
                            DomainInterval(1.0))
@@ -129,10 +157,12 @@ def test_hit_probability_matches_scale_ratio():
     assert abs(phat - target) < 4.0 * se
 
 
-def test_mean_absorbed_area_is_initial_mass():
+@pytest.mark.parametrize("boundary", ["exact", "bridge"])
+def test_mean_absorbed_area_is_initial_mass(boundary):
     # dY = -Y dt + sqrt(2Y) dB from x0: E[int_0^T0 Y dt] = x0 exactly
     st_ = single_batch_stats(feller(), 0.5, dt=2e-3, seed=77,
-                             replicates=30000, tag=2, max_steps=30000)
+                             replicates=30000, tag=2, max_steps=30000,
+                             boundary=boundary)
     mean = st_.area.mean()
     se = st_.area.std(ddof=1) / math.sqrt(st_.area.size)
     assert st_.censored == 0
@@ -146,6 +176,41 @@ def test_batch_determinism():
                            replicates=500, tag=3, max_steps=500)
     assert np.array_equal(a.area, b.area)
     assert np.array_equal(a.hit, b.hit)
+
+
+@pytest.mark.parametrize("boundary", ["exact", "bridge", "clip"])
+def test_batch_peak_tracks_the_path(boundary):
+    x0, level = 0.3, 0.6
+    free = single_batch_stats(logistic_spec(), x0, dt=0.01, seed=5,
+                              replicates=500, tag=3, max_steps=500,
+                              boundary=boundary)
+    assert free.peak.max() > x0
+    stopped = single_batch_stats(logistic_spec(), x0, dt=0.01, seed=5,
+                                 replicates=500, tag=3, max_steps=500,
+                                 stop_level=level, boundary=boundary)
+    assert stopped.hit.any() and stopped.peak[~stopped.hit].max() > x0
+    assert np.all(stopped.peak[~stopped.hit] < level)
+
+
+@pytest.mark.parametrize("boundary", ["exact", "bridge", "clip"])
+def test_absorbing_step_draws_nothing_for_absorbed(boundary):
+    # inserting absorbed components leaves the live outputs and the stream
+    # position unchanged
+    spec, dt, level = logistic_spec(), 1e-3, 0.5
+    y_switch = switch_level(dt, level) if boundary == "exact" else 0.0
+    live = substream(3, 1).uniform(0.0, 0.45, 400)
+    padded = np.zeros(1000)
+    at = np.sort(substream(3, 2).choice(1000, live.size, replace=False))
+    padded[at] = live
+    gen, ref_gen = substream(3, 3), substream(3, 3)
+    new, crossed = _absorbing_step(spec, padded, dt, gen, y_switch, boundary,
+                                   level)
+    ref, ref_crossed = _absorbing_step(spec, live, dt, ref_gen, y_switch,
+                                       boundary, level)
+    assert np.array_equal(new[at], ref)
+    assert np.array_equal(crossed[at], ref_crossed)
+    assert not new[np.setdiff1d(np.arange(1000), at)].any()
+    assert gen.random() == ref_gen.random()
 
 
 def test_censoring_counted():
