@@ -31,7 +31,8 @@ from .coefficients import (CoefficientSpec, LinearDiffusion, Logistic,
                            DRIFT_FAMILIES, DIFFUSION_FAMILIES)
 from .exceptions import ConfigError
 from .mean_field import duality_gap
-from .sde import MigrationMatrix, TimeGrid, sample_system_stats, single_batch_stats
+from .sde import (MigrationMatrix, TimeGrid, _report_nodes,
+                  sample_system_stats, single_batch_stats)
 from .virgin_island import bin_count_reducer, sample_tree_stats, total_mass_reducer
 
 __all__ = [
@@ -355,9 +356,8 @@ def run_comparison(cfg: ExperimentConfig) -> ExperimentReport:
     n_islands = cfg.topology.n_islands if isinstance(cfg.topology, MigrationMatrix) \
         else int(cfg.topology)
 
-    times = sorted({t for fn in cfg.functionals for t in fn.times})
-    nodes = [cfg.grid.node_of(t) for t in times]
-    row_of = {t: i for i, t in enumerate(times)}
+    times = {t for fn in cfg.functionals for t in fn.times}
+    nodes = _report_nodes([cfg.grid.node_of(t) for t in times], cfg.grid)
 
     x0 = _system_x0(cfg.x_init, n_islands)
     reducers = {"total": lambda block: block.sum(axis=1)}
@@ -371,24 +371,24 @@ def run_comparison(cfg: ExperimentConfig) -> ExperimentReport:
                                      k_max=cfg.k_max)["total"]
 
     tgrid = cfg.tree_grid()
-    tnodes = [tgrid.node_of(t) for t in times]
+    tnodes = _report_nodes([tgrid.node_of(t) for t in times], tgrid)
     tree_stats = sample_tree_stats(cfg.spec, cfg.x_init, cfg.theta, cfg.delta,
                                    tgrid, cfg.seed, cfg.replicates, tnodes,
                                    {"V": total_mass_reducer}, tag=23,
                                    generation_cap=cfg.generation_cap,
                                    boundary=cfg.boundary)["V"]
 
-    def pick(matrix, fn):
-        return matrix[[row_of[t] for t in fn.times], :]
-
     columns = ("functional", "class", "mean_system", "se_system",
                "mean_loop_free", "mean_tree", "se_tree", "gap", "threshold",
                "ordered")
     rows, metrics, verdicts = [], {}, {}
     for fn in cfg.functionals:
-        m_sys, se_sys = _mean_se(fn.evaluate(pick(sys_stats, fn)))
-        m_diag, _ = _mean_se(fn.evaluate(pick(diag_stats, fn)))
-        m_tree, se_tree = _mean_se(fn.evaluate(pick(tree_stats, fn)))
+        # the engines report each node once, in increasing order
+        sel = [nodes.index(cfg.grid.node_of(t)) for t in fn.times]
+        tsel = [tnodes.index(tgrid.node_of(t)) for t in fn.times]
+        m_sys, se_sys = _mean_se(fn.evaluate(sys_stats[sel]))
+        m_diag, _ = _mean_se(fn.evaluate(diag_stats[sel]))
+        m_tree, se_tree = _mean_se(fn.evaluate(tree_stats[tsel]))
         gap = m_sys - m_tree
         thr = 3.0 * (se_sys + se_tree)
         ok = gap <= thr

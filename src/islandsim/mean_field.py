@@ -6,8 +6,9 @@ the current empirical mean instead of E M_t.  The empirical mean is summed
 with math.fsum, so it is exact for the given values and therefore invariant
 under any permutation of the particles; reassigning the per-particle noise
 streams permutes the particle values but reproduces the mean curve bit for
-bit.  Stepping is the plain clamp scheme of the system simulators (0 is not
-absorbing: the mean-inflow term re-ignites particles).
+bit.  Stepping is by default the plain clamp scheme of the system simulators
+(0 is not absorbing: the mean-inflow term re-ignites particles); "exact"
+takes the batch engines' vector step with the mean as inflow.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 from . import rng as rngmod
 from .coefficients import CoefficientSpec, LinearDiffusion, Logistic
 from .exceptions import ConfigError, DomainError
-from .sde import (Path, TimeGrid, _euler_clip, _hybrid_matrix_step,
-                  _noise_columns, switch_level)
+from .sde import Path, TimeGrid, _euler_clip, _noise_columns, _step
 from .virgin_island import sample_tree_stats, total_mass_reducer
 
 __all__ = ["ParticleEnsemble", "simulate_mckean_vlasov", "duality_gap",
@@ -58,11 +58,12 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
     default keys yields the identical empirical-mean curve.
 
     boundary "clip" is the plain truncated Euler scheme on per-particle
-    streams (bit-exact under key permutation).  "exact" switches particles
-    below `switch_level` to the inflow-aware local kernel, removing the
-    clamp bias near 0 that distorts laws with mass at small values; it draws
-    from one sequential stream per ensemble, so permutation invariance then
-    holds in law rather than bit for bit.
+    streams (bit-exact under key permutation).  "exact" steps the particles
+    with the batch engines' vector step `sde._step`, the empirical mean as
+    inflow: below `switch_level` the inflow-aware local kernel, removing the
+    clamp bias near 0 that distorts laws with mass at small values, above it
+    clamped Euler.  It draws from one sequential stream per ensemble, so
+    permutation invariance then holds in law rather than bit for bit.
     """
     n_part = int(n_part)
     if n_part < 2:
@@ -92,7 +93,6 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
     else:
         noise = None
         gen = rngmod.substream(seed, rngmod.MEAN_FIELD, ensemble_tag)
-        y_switch = switch_level(dt, None, upper)
     mean_curve = np.empty(n + 1)
     m2_curve = np.empty(n + 1)
     stored = np.empty((n + 1, n_part)) if store_paths else None
@@ -107,8 +107,7 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
             v = _euler_clip(v, mean_curve[k], spec.mu(v), spec.sigma2(v),
                             noise[k], dt, upper)
         else:
-            v = _hybrid_matrix_step(gen, v, mean_curve[k], spec, dt, upper,
-                                    y_switch)
+            v, _ = _step(spec, v, dt, gen, boundary, mean_curve[k])
     return ParticleEnsemble(grid=grid, n_part=n_part, mean_curve=mean_curve,
                             second_moment_curve=m2_curve, final_values=v,
                             values=stored)
@@ -136,7 +135,8 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     mc is a mapping of Monte Carlo controls: replicates (tree count), n_part,
     grid (spanning [0, t]), delta, seed; optional mv_replicates (total
     particle count, default 5 * n_part, rounded up to whole ensembles),
-    tree_dt (coarser step for the tree side, default grid.dt) and boundary.
+    tree_dt (coarser step for the tree side, default grid.dt) and boundary
+    (of the tree side; the particles take the "clip" scheme).
     The mean-field SE is taken across all particles of all ensembles;
     within-ensemble coupling through the empirical mean is O(1/n_part), and
     running several independent ensembles keeps the SE honest.
@@ -169,11 +169,10 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     g = np.exp(-c * x * res["V"][0])
     lhs = float(g.mean())
     se_lhs = float(g.std(ddof=1) / math.sqrt(g.size))
-    mv_boundary = mc.get("mv_boundary", "clip")
     vals = []
     for e in range(n_ensembles):
         ens = simulate_mckean_vlasov(spec, x, n_part, grid, seed,
-                                     ensemble_tag=e, boundary=mv_boundary)
+                                     ensemble_tag=e)
         vals.append(np.exp(-c * y * ens.final_values))
     vals = np.concatenate(vals)
     rhs = float(vals.mean())

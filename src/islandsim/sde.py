@@ -16,13 +16,18 @@ exp(-2 v w / (sigma2(v) dt)) on a step from v to w, and stopping levels get
 the matching up-crossing correction.  `simulate_with_immigration` and the
 object-level system op clamp: 0 is not absorbing with inflow present.
 
-Single islands (no inflow) take one of two steps.  The batch engines
-(`single_batch_stats`, `virgin_island.sample_tree_stats`) use the vector
-`_absorbing_step`, which draws nothing for absorbed components.  The
-object-level ops (`simulate_single`, the excursions of `build_tree`) use the
-scalar loop `_single_path`, about 7x cheaper per step than the vector step on
-1-element arrays; its exact branch is `_exact_inflow_substep` with inflow 0
-in scalar form, consuming the same draws.
+One vector step.  An island of a system, an excursion and a mean-field
+particle all run dY = (a - Y + mu(Y)) dt + sqrt(sigma2(Y)) dB; only the
+inflow a differs: the routed mass plus theta/N in a system, none on an
+excursion or a single island (0 absorbs), the mean E M_t in the mean field.
+The batch engines (`single_batch_stats`, `virgin_island.sample_tree_stats`,
+the exact branch of `sample_system_stats` and of the mean-field solver) take
+every such step through `_step`, which draws nothing for absorbed
+components.  The object-level single-island ops (`simulate_single`, the
+excursions of `build_tree`) use the scalar loop `_single_path`, about 7x
+cheaper per step than the vector step on 1-element arrays; its exact branch
+is `_exact_inflow_substep` with inflow 0 in scalar form, consuming the same
+draws.
 
 Island systems.  One op, `simulate_system`, runs a system under uniform
 (island count) or matrix migration with immigration theta/N in three modes:
@@ -54,7 +59,10 @@ from .coefficients import CoefficientSpec, LinearDiffusion
 from .exceptions import ConfigError, DomainError
 
 DEFAULT_DT = 1e-3
-CHUNK = 8192  # fixed batch chunk; results depend on it, never on worker count
+# fixed batch chunks (replicates per stream); results depend on them, never on
+# worker count
+CHUNK = 8192
+SYSTEM_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +85,8 @@ class TimeGrid:
         n = (self.horizon - self.t0) / self.dt
         if abs(n - round(n)) > 1e-6 * max(1.0, n):
             raise ConfigError("(horizon - t0) must be an integer multiple of dt")
+        if self.n_steps < 1:
+            raise ConfigError("horizon must lie at least one step dt past t0")
 
     @property
     def n_steps(self) -> int:
@@ -355,11 +365,15 @@ def _level_coeffs(spec: CoefficientSpec, v: np.ndarray):
     return frac * spec.mu(tot), frac * spec.sigma2(tot)
 
 
+def _euler(v, inflow, drift, diff2, noise, dt: float) -> np.ndarray:
+    """Euler step v + (inflow - v + drift) dt + sqrt(diff2 dt) noise."""
+    return v + (inflow - v + drift) * dt + np.sqrt(diff2 * dt) * noise
+
+
 def _euler_clip(v, inflow, drift, diff2, noise, dt: float,
                 upper: float) -> np.ndarray:
     """Truncated Euler step, clamped back into [0, upper]."""
-    return np.clip(v + (inflow - v + drift) * dt + np.sqrt(diff2 * dt) * noise,
-                   0.0, upper)
+    return np.clip(_euler(v, inflow, drift, diff2, noise, dt), 0.0, upper)
 
 
 def _system_step(spec: CoefficientSpec, topology, theta: float, v: np.ndarray,
@@ -369,7 +383,7 @@ def _system_step(spec: CoefficientSpec, topology, theta: float, v: np.ndarray,
     "clip" is truncated Euler on the given noise (drawn from gen if None).
     "exact" uses the inflow-aware local kernel on every component for
     "levels" (its proportional coefficient sharing matches the linear-ratio
-    form the kernel freezes), below `switch_level` for the other modes.
+    form the kernel freezes), `_step` with the inflow for the other modes.
     Levels are clamped one by one, so on a bounded domain their sum can pass
     `upper` (and Wright-Fisher sigma2(sum) turn negative); such an island's
     levels are scaled by upper / sum, the others multiplied by exactly 1.
@@ -388,8 +402,7 @@ def _system_step(spec: CoefficientSpec, topology, theta: float, v: np.ndarray,
             gen, v, inflow, spec.mu_over_x(tot), spec.sigma2_over_x(tot), dt),
             upper)
     else:
-        v = _hybrid_matrix_step(gen, v, inflow, spec, dt, upper,
-                                switch_level(dt, None, upper))
+        v, _ = _step(spec, v, dt, gen, "exact", inflow)
     if mode == "levels":
         tot = v.sum(axis=-2, keepdims=True)
         while (tot > upper).any():  # a rescaled sum can round an ulp high
@@ -579,88 +592,75 @@ def _exact_inflow_substep(gen: np.random.Generator, old: np.ndarray,
     return np.where(ok, gen.gamma(shape, 2.0 * f_safe), ode)
 
 
-def _hybrid_matrix_step(gen: np.random.Generator, v: np.ndarray,
-                        inflow, spec: CoefficientSpec, dt: float,
-                        upper: float, y_switch: float) -> np.ndarray:
-    """One step of a component array: Euler above y_switch, exact below.
+def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
+          gen: np.random.Generator, boundary: str, inflow=None,
+          stop_level: float | None = None):
+    """One step of the components of v; returns (new, crossed).
 
-    v and inflow broadcast to a common shape; values below y_switch advance
-    with `_exact_inflow_substep`, the rest with plain Euler clamped to the
-    domain.  Draw order (normals first, then Poisson/Gamma) is fixed, so a
-    chunk's stream is reproducible.
-    """
-    flat = v.ravel()
-    a = np.broadcast_to(inflow, v.shape).ravel()
-    below = flat < y_switch
-    lo = np.flatnonzero(below)  # index gathers beat scattered boolean masks
-    out = np.empty_like(flat)
-    if lo.size < flat.size:
-        hi = np.flatnonzero(~below)
-        vh = flat[hi]
-        noise = gen.standard_normal(vh.size)
-        out[hi] = _euler_clip(vh, a[hi], spec.mu(vh), spec.sigma2(vh), noise,
-                              dt, upper)
-    if lo.size:
-        vl = flat[lo]
-        nl = _exact_inflow_substep(gen, vl, a[lo], spec.mu_over_x(vl),
-                                   spec.sigma2_over_x(vl), dt)
-        out[lo] = np.minimum(nl, upper)
-    return out.reshape(v.shape)
-
-
-def _absorbing_step(spec: CoefficientSpec, old: np.ndarray, dt: float,
-                    gen: np.random.Generator, y_switch: float, boundary: str,
-                    stop_level: float | None = None):
-    """One step of independent single islands (no inflow, 0 absorbing).
-
-    Returns (new, crossed); crossed marks up-crossings of stop_level (None
-    without one).  Components at 0 take no draw.  Those below y_switch take
-    `_exact_inflow_substep` with inflow 0, the rest an Euler step from v to
-    w followed by the clamp ("clip", crossing seen at the node only) or by
-    the bridge tests: killed if w <= 0 or with the touch probability
+    inflow broadcasts against v; None means no inflow, and 0 absorbing.
+    Components at 0 with no inflow stay 0 and take no draw.  Live ones below
+    `switch_level(dt, stop_level, upper)` ("exact" only) take
+    `_exact_inflow_substep`, the rest an Euler step from v to w, clamped into
+    [0, upper] with an inflow or under "clip".  Otherwise the bridge tests
+    follow: killed if w <= 0 or with the touch probability
     exp(-2 v w / (sigma2(v) dt)), crossed if w >= stop_level or with
     exp(-2 (stop_level - v)(stop_level - w) / (sigma2(v) dt)).  One uniform
     serves both tests: the 0- and stop_level-adjacent regions where either
-    probability is non-negligible are never both one step away.  Draw order:
-    normals, uniforms, then the exact kernel's Poisson and Gamma.
+    probability is non-negligible are never both one step away.  crossed
+    marks up-crossings of stop_level (None without one); the clamp and the
+    exact kernel see them at the node only.  Draw order: normals, uniforms,
+    then the exact kernel's Poisson and Gamma.
     """
     upper = spec.domain.upper
-    pos = old > 0.0
-    lo = np.flatnonzero(pos & (old < y_switch))
-    hi = np.flatnonzero(pos & (old >= y_switch))
-    new = np.zeros_like(old)
-    crossed = None if stop_level is None else np.zeros(old.shape, dtype=bool)
+    y_switch = switch_level(dt, stop_level, upper) if boundary == "exact" \
+        else 0.0
+    flat = v.ravel()
+    live = flat > 0.0
+    if inflow is not None:
+        inflow = np.broadcast_to(inflow, v.shape).ravel()
+        live |= inflow > 0.0
+    below = flat < y_switch
+    lo = np.flatnonzero(live & below)  # index gathers beat boolean masks
+    hi = np.flatnonzero(live & ~below)
+    a_hi, a_lo = (0.0, 0.0) if inflow is None else (inflow[hi], inflow[lo])
+    new = np.zeros_like(flat)
+    up = None if stop_level is None else np.zeros(flat.shape, dtype=bool)
     if hi.size:
-        oh = old[hi]
-        s2dt = spec.sigma2(oh) * dt
-        nh = np.minimum(oh + (-oh + spec.mu(oh)) * dt
-                        + np.sqrt(s2dt) * gen.standard_normal(hi.size), upper)
-        if boundary == "clip":
-            nh = np.maximum(nh, 0.0)
-            if crossed is not None:
-                crossed[hi] = nh >= stop_level
-        else:
+        vh = flat[hi]
+        s2 = spec.sigma2(vh)
+        w = np.minimum(_euler(vh, a_hi, spec.mu(vh), s2,
+                              gen.standard_normal(hi.size), dt), upper)
+        if inflow is None and boundary != "clip":
             u = gen.random(hi.size)
+            s2dt = s2 * dt
             ok = s2dt > 0.0
             safe = np.where(ok, s2dt, 1.0)
-            dead = (nh <= 0.0) | (u < np.where(
-                ok & (nh > 0.0), np.exp(-2.0 * oh * np.maximum(nh, 0.0) / safe),
+            dead = (w <= 0.0) | (u < np.where(
+                ok & (w > 0.0), np.exp(-2.0 * vh * np.maximum(w, 0.0) / safe),
                 0.0))
-            if crossed is not None:
-                crossed[hi] = ch = (nh >= stop_level) | (u < np.where(
-                    ok & (nh < stop_level),
-                    np.exp(-2.0 * (stop_level - oh) * (stop_level - nh) / safe),
-                    0.0))
-                dead &= ~ch
-            nh = np.where(dead, 0.0, np.maximum(nh, 0.0))
-        new[hi] = nh
+            if stop_level is not None:
+                up[hi] = inside = u < np.where(ok & (w < stop_level), np.exp(
+                    -2.0 * (stop_level - vh) * (stop_level - w) / safe), 0.0)
+                dead &= ~(inside | (w >= stop_level))
+            w = np.where(dead, 0.0, w)
+        new[hi] = np.maximum(w, 0.0)
     if lo.size:
-        ol = old[lo]
+        vl = flat[lo]
         new[lo] = np.minimum(_exact_inflow_substep(
-            gen, ol, 0.0, spec.mu_over_x(ol), spec.sigma2_over_x(ol), dt), upper)
-        if crossed is not None:
-            crossed[lo] = new[lo] >= stop_level
-    return new, crossed
+            gen, vl, a_lo, spec.mu_over_x(vl), spec.sigma2_over_x(vl), dt),
+            upper)
+    new = new.reshape(v.shape)
+    if stop_level is None:
+        return new, None
+    return new, up.reshape(v.shape) | (new >= stop_level)
+
+
+def _report_nodes(report_nodes, grid: TimeGrid) -> list:
+    """Distinct report nodes, increasing and on the grid; one row each."""
+    nodes = sorted({int(k) for k in report_nodes})
+    if nodes and (nodes[0] < 0 or nodes[-1] > grid.n_steps):
+        raise ConfigError("report nodes outside the grid")
+    return nodes
 
 
 @dataclass
@@ -710,9 +710,6 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
     """
     _check_x0(spec, x0)
     _check_boundary(boundary)
-    y_switch = switch_level(dt, stop_level, spec.domain.upper) \
-        if boundary == "exact" else 0.0
-
     areas, peaks, hits = [], [], []
     censored = 0
     n_chunks = (replicates + chunk - 1) // chunk
@@ -726,8 +723,8 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
         cur_v = np.full(b, float(x0))
         steps = 0
         while idx.size and steps < max_steps:
-            new, crossed = _absorbing_step(spec, cur_v, dt, gen, y_switch,
-                                           boundary, stop_level)
+            new, crossed = _step(spec, cur_v, dt, gen, boundary,
+                                 stop_level=stop_level)
             if crossed is not None and crossed.any():
                 hit[idx] |= crossed
                 new = np.where(crossed, 0.0, new)
@@ -752,16 +749,17 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
                         grid: TimeGrid, seed: int, replicates: int,
                         report_nodes, reducers, tag: int,
                         mode: str = "unsplit", k_max: int = 0,
-                        boundary: str = "exact",
-                        chunk: int = 256) -> dict:
+                        boundary: str = "exact") -> dict:
     """Streaming replicated system simulation with per-report-node reduction.
 
     topology: island count (uniform routing) or MigrationMatrix.
     reducers: mapping name -> callable taking the per-island state block,
     shape (r, islands), and returning one number per replicate.  In the
     'levels' and 'loop_free' modes the block passed is the sum over levels.
-    Modes and routing are those of `simulate_system`.  Returns {name: array (n_report_nodes, replicates)} plus '_dropped_mass'
-    (mean over replicates of the mass lost to the level cap).
+    Modes and routing are those of `simulate_system`.  Returns {name: array
+    (distinct report nodes in increasing order, replicates)} plus
+    '_dropped_mass' (mean over replicates of the mass lost to the level cap).
+    Replicates run in chunks of SYSTEM_CHUNK, one stream each.
 
     boundary "exact" (default) steps components below `switch_level` with
     the inflow-aware local kernel; small masses otherwise pick up a clamp
@@ -770,17 +768,15 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
     _, x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
     if boundary not in ("exact", "clip"):
         raise ConfigError(f"unknown boundary scheme {boundary!r}")
-    report_nodes = sorted(int(k) for k in report_nodes)
-    if report_nodes and (report_nodes[0] < 0 or report_nodes[-1] > grid.n_steps):
-        raise ConfigError("report nodes outside the grid")
+    report_nodes = _report_nodes(report_nodes, grid)
     report_set = {node: j for j, node in enumerate(report_nodes)}
     out = {name: np.empty((len(report_nodes), replicates)) for name in reducers}
     dropped_total = 0.0
 
     purpose = 1 + list(_SYSTEM_PURPOSE).index(mode)
-    for ci in range((replicates + chunk - 1) // chunk):
-        r0 = ci * chunk
-        r = min(chunk, replicates - r0)
+    for ci in range((replicates + SYSTEM_CHUNK - 1) // SYSTEM_CHUNK):
+        r0 = ci * SYSTEM_CHUNK
+        r = min(SYSTEM_CHUNK, replicates - r0)
         gen = rngmod.substream(seed, rngmod.EXPERIMENT, tag, purpose, ci)
         v = _start_state(x0, (r,), L)
         for k in range(grid.n_steps + 1):

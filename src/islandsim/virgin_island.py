@@ -26,8 +26,8 @@ from . import rng as rngmod
 from .analytics import scale_function
 from .coefficients import CoefficientSpec
 from .exceptions import ConfigError, DomainError, SolverError
-from .sde import (Path, TimeGrid, _absorbing_step, _check_boundary,
-                  _single_path, single_batch_stats, switch_level)
+from .sde import (Path, TimeGrid, _check_boundary, _report_nodes,
+                  _single_path, _step, single_batch_stats)
 
 __all__ = [
     "Excursion", "Island", "VirginIslandTree", "SpectrumSnapshot",
@@ -336,8 +336,8 @@ def bin_count_reducer(lo: float, hi: float):
 def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                       grid: TimeGrid, seed: int, replicates: int,
                       report_nodes, reducers, tag: int,
-                      generation_cap: int = 50, boundary: str = "exact",
-                      chunk: int = TREE_CHUNK) -> dict:
+                      generation_cap: int = 50,
+                      boundary: str = "exact") -> dict:
     """Simulate `replicates` independent virgin-island trees on one clock.
 
     All islands of all trees in a chunk advance together as flat slot arrays
@@ -348,10 +348,11 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
     Births from generation `generation_cap` are counted, not created.
 
     reducers: mapping name -> fn(rep_ids, values, r) -> per-replicate vector,
-    evaluated at each report node.  Returns {name: array (n_reports,
-    replicates)} plus "_dropped_births" (int).  Chunked as in the batch
-    engines: per-(seed, tag, chunk) streams, results independent of worker
-    count but tied to the chunk constant.
+    evaluated at each report node.  Returns {name: array (distinct report
+    nodes in increasing order, replicates)} plus "_dropped_births" (int).
+    Chunked as in the batch engines: per-(seed, tag, chunk) streams of
+    TREE_CHUNK replicates, results independent of worker count but tied to
+    the chunk constant.
     """
     x_init = tuple(float(x) for x in x_init)
     if any(x < 0.0 for x in x_init):
@@ -362,12 +363,8 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
         raise ConfigError("delta must lie strictly inside the domain")
     _check_boundary(boundary)
     n = grid.n_steps
-    nodes = sorted(set(int(k) for k in report_nodes))
-    if nodes and (nodes[0] < 0 or nodes[-1] > n):
-        raise ConfigError("report nodes must lie on the grid")
+    nodes = _report_nodes(report_nodes, grid)
     dt = grid.dt
-    y_switch = switch_level(dt, None, spec.domain.upper) \
-        if boundary == "exact" else 0.0
     inv_mass = 1.0 / scale_function(spec, delta)
     birth_rate = dt * inv_mass
     imm_lam = theta * dt * inv_mass
@@ -376,9 +373,9 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
     out = {name: np.empty((len(nodes), replicates)) for name in reducers}
     dropped = 0
     done = 0
-    n_chunks = (replicates + chunk - 1) // chunk
+    n_chunks = (replicates + TREE_CHUNK - 1) // TREE_CHUNK
     for ci in range(n_chunks):
-        r = min(chunk, replicates - ci * chunk)
+        r = min(TREE_CHUNK, replicates - ci * TREE_CHUNK)
         gen = rngmod.substream(seed, rngmod.TREE, tag, ci)
         rep = np.repeat(np.arange(r), roots.size)
         val = np.tile(roots, r)
@@ -401,7 +398,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                 imm = gen.poisson(imm_lam, size=r)
             else:
                 imm = None
-            val, _ = _absorbing_step(spec, val, dt, gen, y_switch, boundary)
+            val, _ = _step(spec, val, dt, gen, boundary)
             grow = [np.repeat(rep, counts)] if counts.any() else []
             grow_g = [np.repeat(gens + 1, counts)] if counts.any() else []
             if imm is not None and imm.any():

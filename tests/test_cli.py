@@ -155,6 +155,30 @@ def test_compare_and_converge_run(tmp_path):
     assert os.path.exists(os.path.join(out2, "convergence.json"))
 
 
+def test_compare_functionals_on_one_node_share_its_row(tmp_path):
+    # 0.5 and 0.5000000001 are one node at dt 0.005: the engines report it
+    # once and both functionals read that row
+    cfg = write_cfg(
+        tmp_path, topology=4, x_init=[0.2, 0.2], theta=0.0,
+        functionals=[{"kind": "one_minus_exp", "lambdas": [1.0],
+                      "times": [0.5]},
+                     {"kind": "one_minus_exp", "lambdas": [0.5, 0.5],
+                      "times": [0.5, 0.5000000001]}])
+    out = str(tmp_path / "cmp")
+    assert cli_main(["compare", "--config", cfg, "--out", out]) == 0
+    m = json.load(open(os.path.join(out, "comparison.json")))["metrics"]
+    a, b = m["one_minus_exp[1@0.5]"], m["one_minus_exp[0.5@0.5,0.5@0.5]"]
+    for key in ("mean_system", "mean_loop_free", "mean_tree"):
+        assert a[key] == b[key]
+
+
+def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, horizon=1e-9, dt=1.0, x_init=[0.5])
+    assert cli_main(["tree", "--config", cfg,
+                     "--out", str(tmp_path / "t")]) == 2
+    assert "one step" in capsys.readouterr().err
+
+
 def test_identities_run(tmp_path):
     cfg = write_cfg(tmp_path, theta=1.0, eps=0.05, horizon=2.0)
     out = str(tmp_path / "ids")

@@ -32,9 +32,10 @@ from islandsim import (
     simulate_with_immigration,
     single_batch_stats,
 )
-from islandsim.sde import (_absorbing_step, _exact_inflow_substep, _single_path,
-                           switch_level)
+from islandsim.sde import (_exact_inflow_substep, _report_nodes, _single_path,
+                           _step, switch_level)
 from islandsim.rng import substream
+from islandsim.virgin_island import sample_tree_stats, total_mass_reducer
 
 
 def feller():
@@ -64,6 +65,8 @@ def test_time_grid_rejects_bad_setup():
         TimeGrid(0.0, 1.0, -0.1)
     with pytest.raises(ConfigError):
         TimeGrid(1.0, 0.5, 0.01)
+    with pytest.raises(ConfigError, match="one step"):
+        TimeGrid(0.0, 1e-9, 1.0)  # rounds to 0 steps
 
 
 # -- single island --------------------------------------------------------------
@@ -197,19 +200,40 @@ def test_absorbing_step_draws_nothing_for_absorbed(boundary):
     # inserting absorbed components leaves the live outputs and the stream
     # position unchanged
     spec, dt, level = logistic_spec(), 1e-3, 0.5
-    y_switch = switch_level(dt, level) if boundary == "exact" else 0.0
     live = substream(3, 1).uniform(0.0, 0.45, 400)
     padded = np.zeros(1000)
     at = np.sort(substream(3, 2).choice(1000, live.size, replace=False))
     padded[at] = live
     gen, ref_gen = substream(3, 3), substream(3, 3)
-    new, crossed = _absorbing_step(spec, padded, dt, gen, y_switch, boundary,
-                                   level)
-    ref, ref_crossed = _absorbing_step(spec, live, dt, ref_gen, y_switch,
-                                       boundary, level)
+    new, crossed = _step(spec, padded, dt, gen, boundary, stop_level=level)
+    ref, ref_crossed = _step(spec, live, dt, ref_gen, boundary,
+                             stop_level=level)
     assert np.array_equal(new[at], ref)
     assert np.array_equal(crossed[at], ref_crossed)
     assert not new[np.setdiff1d(np.arange(1000), at)].any()
+    assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("boundary", ["exact", "bridge", "clip"])
+def test_step_with_inflow_draws_for_entrance_points_only(boundary):
+    # with an inflow array, components at 0 with inflow > 0 (entrance
+    # points) are stepped and those at 0 with inflow 0 take no draw: the
+    # live outputs and the stream position match a run on the live subset
+    spec, dt = logistic_spec(), 1e-3
+    v = substream(4, 1).uniform(0.0, 0.45, 1000)
+    a = substream(4, 2).uniform(0.1, 2.0, 1000)
+    # 0: absorbed, 1: entrance point, 2: no inflow, 3: mass and inflow
+    kind = substream(4, 3).integers(0, 4, 1000)
+    v[kind <= 1] = 0.0
+    a[kind % 2 == 0] = 0.0
+    live = kind > 0
+    gen, ref_gen = substream(4, 5), substream(4, 5)
+    new, crossed = _step(spec, v, dt, gen, boundary, a)
+    ref, _ = _step(spec, v[live], dt, ref_gen, boundary, a[live])
+    assert crossed is None
+    assert np.array_equal(new[live], ref)
+    assert not new[kind == 0].any()
+    assert np.all(new[kind == 1] > 0.0)
     assert gen.random() == ref_gen.random()
 
 
@@ -422,6 +446,27 @@ def test_system_storage_guard_raises_before_allocating():
     with pytest.raises(ConfigError, match="too large"):
         simulate_system(logistic_spec(), 10_000, 0.0, np.zeros(10_000), g,
                         seed=0)
+
+
+def test_batch_engines_report_a_repeated_node_once():
+    g = TimeGrid(0.0, 0.1, 0.01)
+    assert _report_nodes([5, 0, 5], g) == [0, 5]
+    with pytest.raises(ConfigError):
+        _report_nodes([g.n_steps + 1], g)
+    red = {"m": lambda b: b.sum(axis=1)}
+    kw = dict(grid=g, seed=1, replicates=100, reducers=red, tag=1)
+    twice = sample_system_stats(logistic_spec(), 3, 0.0, np.full(3, 0.2),
+                                report_nodes=[5, 5, 0], **kw)["m"]
+    once = sample_system_stats(logistic_spec(), 3, 0.0, np.full(3, 0.2),
+                               report_nodes=[0, 5], **kw)["m"]
+    assert np.array_equal(twice, once)
+    tkw = dict(grid=g, seed=1, replicates=100, tag=1,
+               reducers={"V": total_mass_reducer})
+    twice = sample_tree_stats(logistic_spec(), (0.2,), 0.0, 0.1,
+                              report_nodes=[5, 5], **tkw)["V"]
+    once = sample_tree_stats(logistic_spec(), (0.2,), 0.0, 0.1,
+                             report_nodes=[5], **tkw)["V"]
+    assert twice.shape == (1, 100) and np.array_equal(twice, once)
 
 
 def test_system_stats_validation():
