@@ -558,32 +558,51 @@ def _exact_inflow_substep(gen: np.random.Generator, old: np.ndarray,
 
     Absorbed components (old == 0, a == 0) are set to 0 without a draw.  The
     stream is the same as if they were drawn for: numpy's Poisson(0) and
-    Gamma(shape 0) return 0 without consuming bits.
+    Gamma(shape 0) return 0 without consuming bits.  The live ones go to
+    `_exact_kernel`, which `_step` calls directly.
     """
     live = (old > 0.0) | (inflow > 0.0)
-    if not live.all():
-        new = np.zeros(old.shape)
-        if live.any():
-            new[live] = _exact_inflow_substep(
-                gen, old[live], *(np.broadcast_to(x, old.shape)[live]
-                                  for x in (inflow, mu_x, s2_x)), dt)
-        return new
+    if live.all():
+        return _exact_kernel(gen, old, inflow, mu_x, s2_x, dt)
+    new = np.zeros(old.shape)
+    if live.any():
+        new[live] = _exact_kernel(
+            gen, old[live], *(np.broadcast_to(x, old.shape)[live]
+                              for x in (inflow, mu_x, s2_x)), dt)
+    return new
+
+
+def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
+                  s2_x, dt: float) -> np.ndarray:
+    """`_exact_inflow_substep` on live components (old > 0 or inflow > 0).
+
+    mu_x and s2_x are arrays of one shape, which may be a broadcast of old's
+    (the level split passes island ratios of shape (r, 1, islands)); the
+    small-|b dt| series is evaluated on the index subset that needs it.
+    """
     b = 1.0 - mu_x
     c = s2_x
-    bdt = np.clip(b * dt, -50.0, 50.0)
-    em = -np.expm1(-bdt)  # 1 - e^{-b dt}, sign matches b
-    small = np.abs(bdt) < 1e-10
-    if small.any():
-        f = np.where(small, c * dt * 0.25 * (1.0 - 0.5 * bdt),
-                     c * em / np.where(small, 1.0, 4.0 * b))
+    bdt = b * dt
+    np.maximum(bdt, -50.0, out=bdt)
+    np.minimum(bdt, 50.0, out=bdt)
+    neg = -bdt
+    em = -np.expm1(neg)  # 1 - e^{-b dt}, sign matches b
+    small = (np.abs(bdt) < 1e-10).nonzero()
+    den = 4.0 * b
+    if small[0].size:
+        den[small] = 1.0
+        f = c * em / den
+        f[small] = c[small] * dt * 0.25 * (1.0 - 0.5 * bdt[small])
     else:
-        f = c * em / (4.0 * b)
-    decay = old * np.exp(-bdt)
+        f = c * em / den
+    decay = old * np.exp(neg)
     ok = c > 0.0
     if ok.all():
-        k = gen.poisson(decay / (2.0 * f))
-        return gen.gamma(2.0 * inflow / c + k, 2.0 * f)
+        f2 = 2.0 * f
+        k = gen.poisson(decay / f2)
+        return gen.gamma(2.0 * inflow / c + k, f2)
     # ODE fallback value: a/b + (old - a/b) e^{-b dt}, stable form
+    small = np.abs(bdt) < 1e-10
     ode = decay + inflow * np.where(small, dt * (1.0 - 0.5 * bdt),
                                     em / np.where(small, 1.0, b))
     f_safe = np.where(ok, f, 1.0)
@@ -612,24 +631,31 @@ def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
     then the exact kernel's Poisson and Gamma.
     """
     upper = spec.domain.upper
+    bounded = upper < math.inf
     y_switch = switch_level(dt, stop_level, upper) if boundary == "exact" \
         else 0.0
     flat = v.ravel()
     live = flat > 0.0
-    if inflow is not None:
+    per_component = np.ndim(inflow) > 0
+    if per_component:
         inflow = np.broadcast_to(inflow, v.shape).ravel()
         live |= inflow > 0.0
+    elif inflow is not None and inflow > 0.0:
+        live[:] = True
     below = flat < y_switch
-    lo = np.flatnonzero(live & below)  # index gathers beat boolean masks
-    hi = np.flatnonzero(live & ~below)
-    a_hi, a_lo = (0.0, 0.0) if inflow is None else (inflow[hi], inflow[lo])
-    new = np.zeros_like(flat)
+    lo = (live & below).nonzero()[0]  # index gathers beat boolean masks
+    hi = (live > below).nonzero()[0]
+    a_hi = a_lo = 0.0 if inflow is None else inflow
+    if per_component:
+        a_hi, a_lo = inflow[hi], inflow[lo]
+    new = np.zeros(flat.shape)
     up = None if stop_level is None else np.zeros(flat.shape, dtype=bool)
     if hi.size:
         vh = flat[hi]
         s2 = spec.sigma2(vh)
-        w = np.minimum(_euler(vh, a_hi, spec.mu(vh), s2,
-                              gen.standard_normal(hi.size), dt), upper)
+        w = _euler(vh, a_hi, spec.mu(vh), s2, gen.standard_normal(hi.size), dt)
+        if bounded:
+            w = np.minimum(w, upper)
         if inflow is None and boundary != "clip":
             u = gen.random(hi.size)
             s2dt = s2 * dt
@@ -646,9 +672,9 @@ def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
         new[hi] = np.maximum(w, 0.0)
     if lo.size:
         vl = flat[lo]
-        new[lo] = np.minimum(_exact_inflow_substep(
-            gen, vl, a_lo, spec.mu_over_x(vl), spec.sigma2_over_x(vl), dt),
-            upper)
+        x = _exact_kernel(gen, vl, a_lo, spec.mu_over_x(vl),
+                          spec.sigma2_over_x(vl), dt)
+        new[lo] = np.minimum(x, upper) if bounded else x
     new = new.reshape(v.shape)
     if stop_level is None:
         return new, None

@@ -326,6 +326,27 @@ def test_inflow_kernel_skips_absorbed_without_moving_the_stream():
         assert np.any(out[kind == 1] > 0.0)
 
 
+def test_inflow_kernel_broadcast_ratios_match_full_ratios():
+    # the level split passes island ratios of shape (r, 1, islands) against
+    # states (r, levels, islands); tiny island totals take the small-|b dt|
+    # series, which must land on every level of its island and nowhere
+    # else: the same draws as the flat call on fully broadcast ratios
+    setup = substream(2024, 48)
+    v = 10.0 ** setup.uniform(-12.0, -1.0, (50, 4, 6))
+    inflow = setup.uniform(0.1, 1.0, v.shape)
+    tot = v.sum(axis=-2, keepdims=True)
+    spec = logistic_spec()
+    mu_x, s2_x = spec.mu_over_x(tot), spec.sigma2_over_x(tot)
+    assert np.any(np.abs(1.0 - mu_x) * 2e-3 < 1e-10)
+    gen, ref_gen = substream(77, 48), substream(77, 48)
+    out = _exact_inflow_substep(gen, v, inflow, mu_x, s2_x, 2e-3)
+    ref = _exact_inflow_substep(ref_gen, v.ravel(), inflow.ravel(),
+                                np.broadcast_to(mu_x, v.shape).ravel(),
+                                np.broadcast_to(s2_x, v.shape).ravel(), 2e-3)
+    assert np.array_equal(out, ref.reshape(v.shape))
+    assert gen.random() == ref_gen.random()
+
+
 def test_inflow_kernel_zero_inflow_rows():
     # the zero-inflow cases: 0 stays 0 whatever c is, and c <= 0 decays to
     # old * e^{-b dt} exactly
