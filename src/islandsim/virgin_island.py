@@ -333,6 +333,34 @@ def bin_count_reducer(lo: float, hi: float):
     return reduce
 
 
+def _pick_slots(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Slots drawn with probability proportional to their weight, in slot order.
+
+    cum is the cumulative sum of the nonnegative slot weights (positive
+    total) and u uniforms on [0, 1).  Inverse CDF with side="right" never
+    picks a zero-weight slot; u * total can round up to the total, so the
+    index is clamped to the last positive-weight slot, which need not be the
+    last slot.
+    """
+    mass = cum[-1]
+    idx = np.searchsorted(cum, u * mass, side="right")
+    np.minimum(idx, np.searchsorted(cum, mass), out=idx)
+    idx.sort()
+    return idx
+
+
+# slot arrays (replicate id, value, generation) take 24 bytes per slot
+SLOT_BYTES = 24
+SLOT_BUDGET = 2**28
+
+
+def _slot_error(slots: float, t: float) -> SolverError:
+    return SolverError(
+        f"tree slot arrays would pass {SLOT_BUDGET >> 20} MB at t = {t:g} "
+        f"({slots:.0f} islands at {SLOT_BYTES} bytes each); raise delta, "
+        "shorten the horizon or lower generation_cap")
+
+
 def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                       grid: TimeGrid, seed: int, replicates: int,
                       report_nodes, reducers, tag: int,
@@ -342,10 +370,25 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
 
     All islands of all trees in a chunk advance together as flat slot arrays
     (replicate id, value, generation).  Births are thinned per step: each
-    island spawns Poisson(value*dt/S(delta)) daughters, and each replicate
+    island spawns Poisson(value*dt/S(delta)) daughters and each replicate
     gains Poisson(theta*dt/S(delta)) immigrants, all materialized at the next
     node with value delta (their own first move happens a step later).
     Births from generation `generation_cap` are counted, not created.
+
+    Per chunk and step the births are drawn superposed, which is exact in
+    law (Poisson superposition, then multinomial allocation), from the
+    pre-step values in this order:
+      1. one Poisson(dt/S(delta) * sum of the uncapped values): the births;
+      2. one Poisson(dt/S(delta) * sum of the capped values), added to
+         "_dropped_births" (only when a slot is capped);
+      3. one Poisson(replicates * theta*dt/S(delta)): the immigrants;
+      4. a uniform per birth, picking its mother by inverse CDF on the
+         uncapped values (`_pick_slots`);
+      5. an integer in [0, replicates) per immigrant, its replicate;
+    then the step of every slot (`sde._step`).  Daughters append in mother
+    slot order, immigrants in replicate order.  A step whose slots would
+    pass SLOT_BUDGET bytes raises SolverError before the allocation draws
+    (without any draw when the step's Poisson means sum past SLOT_BUDGET).
 
     reducers: mapping name -> fn(rep_ids, values, r) -> per-replicate vector,
     evaluated at each report node.  Returns {name: array (distinct report
@@ -364,6 +407,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
     _check_boundary(boundary)
     n = grid.n_steps
     nodes = _report_nodes(report_nodes, grid)
+    node_pos = {k: i for i, k in enumerate(nodes)}
     dt = grid.dt
     inv_mass = 1.0 / scale_function(spec, delta)
     birth_rate = dt * inv_mass
@@ -380,35 +424,50 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
         rep = np.repeat(np.arange(r), roots.size)
         val = np.tile(roots, r)
         gens = np.zeros(rep.size, dtype=np.int64)
-        node_pos = {k: i for i, k in enumerate(nodes)}
+        top = 0  # highest generation present so far
         for k in range(n + 1):
-            if k in node_pos:
-                i = node_pos[k]
+            i = node_pos.get(k)
+            if i is not None:
                 for name, fn in reducers.items():
                     out[name][i, done:done + r] = fn(rep, val, r)
             if k == n:
                 break
-            # births sampled from the pre-step values, landing at node k+1
-            counts = gen.poisson(val * birth_rate)
-            capped = gens >= generation_cap
-            if capped.any():
-                dropped += int(counts[capped].sum())
-                counts = np.where(capped, 0, counts)
-            if imm_lam > 0.0:
-                imm = gen.poisson(imm_lam, size=r)
+            # births from the pre-step values, landing at node k+1
+            if top < generation_cap:
+                cum, capped_mass = np.cumsum(val), 0.0
+            elif generation_cap == 0:  # every slot is capped
+                cum, capped_mass = val[:0], float(val.sum())
             else:
-                imm = None
+                capped = gens >= generation_cap
+                cum = np.cumsum(np.where(capped, 0.0, val))
+                capped_mass = float(val[capped].sum())
+            mass = float(cum[-1]) if cum.size else 0.0
+            lam = birth_rate * (mass + capped_mass) + r * imm_lam
+            if lam > SLOT_BUDGET:  # 24x the slot budget; numpy caps the mean
+                raise _slot_error(rep.size + lam, (k + 1) * dt)
+            n_born = int(gen.poisson(birth_rate * mass)) if mass > 0.0 else 0
+            if capped_mass > 0.0:
+                dropped += int(gen.poisson(birth_rate * capped_mass))
+            n_imm = int(gen.poisson(r * imm_lam)) if imm_lam > 0.0 else 0
+            if (rep.size + n_born + n_imm) * SLOT_BYTES > SLOT_BUDGET:
+                raise _slot_error(rep.size + n_born + n_imm, (k + 1) * dt)
+            if n_born:
+                mothers = _pick_slots(cum, gen.random(n_born))
+            if n_imm:
+                imm_rep = np.sort(gen.integers(0, r, n_imm))
             val, _ = _step(spec, val, dt, gen, boundary)
-            grow = [np.repeat(rep, counts)] if counts.any() else []
-            grow_g = [np.repeat(gens + 1, counts)] if counts.any() else []
-            if imm is not None and imm.any():
-                grow.append(np.repeat(np.arange(r), imm))
-                grow_g.append(np.zeros(int(imm.sum()), dtype=np.int64))
-            if grow:
-                born = np.concatenate(grow)
-                rep = np.concatenate((rep, born))
-                val = np.concatenate((val, np.full(born.size, delta)))
-                gens = np.concatenate((gens, np.concatenate(grow_g)))
+            if n_born or n_imm:
+                rep_parts, gen_parts = [rep], [gens]
+                if n_born:
+                    rep_parts.append(rep[mothers])
+                    gen_parts.append(gens[mothers] + 1)
+                    top = max(top, int(gen_parts[-1].max()))
+                if n_imm:
+                    rep_parts.append(imm_rep)
+                    gen_parts.append(np.zeros(n_imm, dtype=np.int64))
+                rep = np.concatenate(rep_parts)
+                gens = np.concatenate(gen_parts)
+                val = np.concatenate((val, np.full(n_born + n_imm, delta)))
             if (k + 1) % 16 == 0:
                 alive = val > 0.0
                 if not alive.all():

@@ -28,7 +28,9 @@ from islandsim import (
     export_tree_csv,
     export_spectrum_csv,
 )
+from islandsim.exceptions import SolverError
 from islandsim.virgin_island import (
+    _pick_slots,
     bin_count_reducer,
     excursion_mass_above,
     total_mass_reducer,
@@ -37,6 +39,12 @@ from islandsim.virgin_island import (
 
 def logistic_spec():
     return CoefficientSpec(Logistic(1.0, 1.0), LinearDiffusion(1.0),
+                           DomainInterval())
+
+
+def critical_feller():
+    # dY = -Y dt + sqrt(2Y) dB: E Y_t = y e^{-t}, S(delta) = e^delta - 1
+    return CoefficientSpec(LinearDrift(0.0), LinearDiffusion(1.0),
                            DomainInterval())
 
 
@@ -234,6 +242,75 @@ def test_smaller_delta_recovers_more_mass():
     fine = sample_tree_stats(spec, delta=0.05, tag=4, **kw)["V"][0]
     se = coarse.std(ddof=1) / 77.0 + fine.std(ddof=1) / 77.0
     assert fine.mean() > coarse.mean() - 3.0 * se
+
+
+def test_pick_slots_never_picks_zero_weight():
+    # inverse CDF with side="right": a zero-weight slot (first, inner or
+    # last) is never picked, also when u * mass rounds up to mass (which
+    # takes a subnormal mass)
+    u_top = np.nextafter(1.0, 0.0)
+    cum = np.cumsum([0.0, 1.0, 0.0, 1.5, 0.0])
+    u = np.array([u_top, 0.0, 1.0 / 2.5, 0.3, u_top])
+    assert _pick_slots(cum, u).tolist() == [1, 1, 3, 3, 3]
+    tiny = np.cumsum([0.0, 5e-324, 0.0])
+    assert u_top * tiny[-1] == tiny[-1]
+    assert _pick_slots(tiny, np.array([0.0, u_top])).tolist() == [1, 1]
+    u = np.random.default_rng(3).random(20000)
+    picks = _pick_slots(cum, u)
+    assert np.all(np.diff(picks) >= 0)  # slot order
+    assert set(picks.tolist()) == {1, 3}
+    assert abs(np.mean(picks == 3) - 0.6) < 4.0 * math.sqrt(0.24 / u.size)
+
+
+def test_tree_stats_dropped_births_match_root_area_rate():
+    # generation_cap=0 drops every birth of the root: their mean count is
+    # E int_0^T Y dt / S(delta) = y (1 - e^{-T}) / S(delta); SE from tags
+    y, T, delta = 1.0, 1.0, 0.1
+    g = TimeGrid(0.0, T, 0.005)
+    reps = 2000
+    per_rep = [sample_tree_stats(critical_feller(), (y,), 0.0, delta, g,
+                                 seed=61, replicates=reps, report_nodes=[],
+                                 reducers={}, tag=tag, generation_cap=0)
+               ["_dropped_births"] / reps for tag in range(8)]
+    expected = y * (1.0 - math.exp(-T)) / math.expm1(delta)
+    se = np.std(per_rep, ddof=1) / math.sqrt(len(per_rep))
+    assert abs(np.mean(per_rep) - expected) < 4.0 * se
+
+
+def test_tree_stats_immigrant_count_matches_rate():
+    # immigrants land with value delta exactly; counted at every node they
+    # add up to Poisson(theta T / S(delta)) per replicate (mean = variance)
+    theta, T, delta = 2.0, 1.0, 0.1
+    g = TimeGrid(0.0, T, 0.01)
+
+    def newborns(rep, val, r):
+        return np.bincount(rep[val == delta], minlength=r).astype(float)
+
+    res = sample_tree_stats(critical_feller(), (), theta, delta, g, seed=62,
+                            replicates=4000, report_nodes=range(1, 101),
+                            reducers={"n": newborns}, tag=1,
+                            generation_cap=0)
+    counts = res["n"].sum(axis=0)
+    expected = theta * T / math.expm1(delta)
+    se = counts.std(ddof=1) / math.sqrt(counts.size)
+    assert abs(counts.mean() - expected) < 4.0 * se
+    assert abs(counts.var(ddof=1) / expected - 1.0) < 0.1
+
+
+def test_tree_stats_slot_guard():
+    # a tiny delta makes the first step's births pass the slot budget: the
+    # engine refuses before it allocates them
+    spec = CoefficientSpec(Logistic(3.0, 1.0), LinearDiffusion(1.0),
+                           DomainInterval())
+    g = TimeGrid(0.0, 1.0, 1e-3)
+    with pytest.raises(SolverError, match="raise delta"):
+        sample_tree_stats(spec, (1.0,), 0.0, 1e-9, g, seed=0,
+                          replicates=1000, report_nodes=[g.n_steps],
+                          reducers={"V": total_mass_reducer}, tag=0)
+    with pytest.raises(SolverError, match="raise delta"):  # no draw at all
+        sample_tree_stats(spec, (1.0,), 0.0, 1e-300, g, seed=0,
+                          replicates=1000, report_nodes=[g.n_steps],
+                          reducers={"V": total_mass_reducer}, tag=0)
 
 
 def test_bin_count_reducer():
