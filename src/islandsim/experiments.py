@@ -341,7 +341,9 @@ def run_comparison(cfg: ExperimentConfig) -> ExperimentReport:
     and E F(V) at the functional's times and checks the system side does not
     exceed the tree side by more than 3 combined standard errors.  A
     loop-free intermediate run (reduced replicates) is reported as a
-    diagnostic column: the ordering chain puts it between the two.
+    diagnostic column: the ordering chain puts it between the two.  The
+    metrics and verdicts are keyed by functional label, so two functionals
+    with one label (times print with 6 significant digits) are refused.
     """
     if not cfg.functionals:
         raise ConfigError("comparison needs at least one functional")
@@ -351,6 +353,11 @@ def run_comparison(cfg: ExperimentConfig) -> ExperimentReport:
             raise ConfigError(
                 f"functional {fn.label} needs class {fn.cls}, but the spec "
                 f"declares only {sorted(admissible) or 'no order'}")
+    labels = [fn.label for fn in cfg.functionals]
+    repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+    if repeated:
+        raise ConfigError("functional labels key the report and must be "
+                          f"unique: {', '.join(repeated)} repeats")
     if cfg.topology is None:
         raise ConfigError("comparison needs a topology")
     n_islands = cfg.topology.n_islands if isinstance(cfg.topology, MigrationMatrix) \

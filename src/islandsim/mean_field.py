@@ -136,7 +136,9 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     grid (spanning [0, t]), delta, seed; optional mv_replicates (total
     particle count, default 5 * n_part, rounded up to whole ensembles),
     tree_dt (coarser step for the tree side, default grid.dt) and boundary
-    (of the tree side; the particles take the "clip" scheme).
+    (default "exact").  The tree takes the boundary as given; the particles
+    take "exact" under "exact" and the clamp otherwise ("bridge" has no
+    meaning where the mean inflow keeps 0 from absorbing).
     The mean-field SE is taken across all particles of all ensembles;
     within-ensemble coupling through the empirical mean is O(1/n_part), and
     running several independent ensembles keeps the SE honest.
@@ -171,8 +173,9 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     se_lhs = float(g.std(ddof=1) / math.sqrt(g.size))
     vals = []
     for e in range(n_ensembles):
-        ens = simulate_mckean_vlasov(spec, x, n_part, grid, seed,
-                                     ensemble_tag=e)
+        ens = simulate_mckean_vlasov(
+            spec, x, n_part, grid, seed, ensemble_tag=e,
+            boundary="exact" if boundary == "exact" else "clip")
         vals.append(np.exp(-c * y * ens.final_values))
     vals = np.concatenate(vals)
     rhs = float(vals.mean())

@@ -577,8 +577,11 @@ def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
     """`_exact_inflow_substep` on live components (old > 0 or inflow > 0).
 
     mu_x and s2_x are arrays of one shape, which may be a broadcast of old's
-    (the level split passes island ratios of shape (r, 1, islands)); the
-    small-|b dt| series is evaluated on the index subset that needs it.
+    (the level split passes island ratios of shape (r, 1, islands)).  The
+    series for small |b dt| is evaluated on the index subset that needs it
+    while that subset is under a third of the block (gathers cost more per
+    element than a masked pass); entrance points at 0 (b = 1 - mu'(0) can
+    vanish there) can make it most of the block.
     """
     b = 1.0 - mu_x
     c = s2_x
@@ -587,12 +590,17 @@ def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
     np.minimum(bdt, 50.0, out=bdt)
     neg = -bdt
     em = -np.expm1(neg)  # 1 - e^{-b dt}, sign matches b
-    small = (np.abs(bdt) < 1e-10).nonzero()
+    small = np.abs(bdt) < 1e-10
+    n_small = np.count_nonzero(small)
     den = 4.0 * b
-    if small[0].size:
-        den[small] = 1.0
+    if 3 * n_small > small.size:  # mostly small: masked passes beat gathers
+        f = np.where(small, c * dt * 0.25 * (1.0 - 0.5 * bdt),
+                     c * em / np.where(small, 1.0, den))
+    elif n_small:
+        at = small.nonzero()
+        den[at] = 1.0
         f = c * em / den
-        f[small] = c[small] * dt * 0.25 * (1.0 - 0.5 * bdt[small])
+        f[at] = c[at] * dt * 0.25 * (1.0 - 0.5 * bdt[at])
     else:
         f = c * em / den
     decay = old * np.exp(neg)
@@ -602,7 +610,6 @@ def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
         k = gen.poisson(decay / f2)
         return gen.gamma(2.0 * inflow / c + k, f2)
     # ODE fallback value: a/b + (old - a/b) e^{-b dt}, stable form
-    small = np.abs(bdt) < 1e-10
     ode = decay + inflow * np.where(small, dt * (1.0 - 0.5 * bdt),
                                     em / np.where(small, 1.0, b))
     f_safe = np.where(ok, f, 1.0)
@@ -636,7 +643,7 @@ def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
         else 0.0
     flat = v.ravel()
     live = flat > 0.0
-    per_component = np.ndim(inflow) > 0
+    per_component = inflow is not None and np.ndim(inflow) > 0
     if per_component:
         inflow = np.broadcast_to(inflow, v.shape).ravel()
         live |= inflow > 0.0

@@ -172,6 +172,29 @@ def test_compare_functionals_on_one_node_share_its_row(tmp_path):
         assert a[key] == b[key]
 
 
+def test_compare_functionals_with_one_label_exit_2(tmp_path, capsys):
+    # both print as one_minus_exp[1@0.5]; one would overwrite the other's
+    # metrics and verdict in comparison.json
+    cfg = write_cfg(
+        tmp_path, topology=4, x_init=[0.2, 0.2], theta=0.0,
+        functionals=[{"kind": "one_minus_exp", "lambdas": [1.0],
+                      "times": [t]} for t in (0.5, 0.5000000001)])
+    assert cli_main(["compare", "--config", cfg,
+                     "--out", str(tmp_path / "cmp")]) == 2
+    assert "one_minus_exp[1@0.5] repeats" in capsys.readouterr().err
+
+
+def test_duality_tiny_delta_outgrows_the_tree_slots_exits_3(tmp_path, capsys):
+    # supercritical logistic, delta 1e-9: the first step's births alone pass
+    # the 256 MB slot budget, so the run stops before allocating them
+    cfg = write_cfg(tmp_path, **{"drift.params.gamma": 3.0}, delta=1e-9,
+                    replicates=1000, n_part=100,
+                    duality_points=[[1.0, 1.0, 0.5]])
+    assert cli_main(["duality", "--config", cfg,
+                     "--out", str(tmp_path / "d")]) == 3
+    assert "raise delta" in capsys.readouterr().err
+
+
 def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, horizon=1e-9, dt=1.0, x_init=[0.5])
     assert cli_main(["tree", "--config", cfg,

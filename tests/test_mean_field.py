@@ -145,6 +145,19 @@ def test_duality_sides_agree_at_matched_budget():
     assert abs(lhs - rhs) <= 0.02 + 3.0 * (se_l + se_r)
 
 
+@pytest.mark.parametrize("boundary", ["exact", "clip"])
+def test_duality_particles_follow_the_boundary(boundary):
+    # at (x, y, t) = (0.05, 1, 1) the mean-field law has mass near 0: clamped
+    # particles overshoot E exp(-y M_t) by ~0.05, past the 0.02 + 3 SE budget,
+    # while exact particles agree with the tree
+    mc = {"replicates": 4000, "n_part": 2000, "mv_replicates": 6000,
+          "grid": TimeGrid(0.0, 1.0, 2e-3), "delta": 0.02, "seed": 5,
+          "boundary": boundary}
+    lhs, rhs, se_l, se_r = duality_gap(1.0, 1.0, 1.0, 0.05, 1.0, 1.0, mc)
+    within = abs(lhs - rhs) <= 0.02 + 3.0 * (se_l + se_r)
+    assert within == (boundary == "exact")
+
+
 def test_duality_lhs_decreases_in_x():
     lo = duality_gap(1.0, 1.0, 1.0, 0.5, 1.0, 0.5, _mc())[0]
     hi = duality_gap(1.0, 1.0, 1.0, 2.0, 1.0, 0.5, _mc())[0]
