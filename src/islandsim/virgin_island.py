@@ -443,7 +443,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                 capped_mass = float(val[capped].sum())
             mass = float(cum[-1]) if cum.size else 0.0
             lam = birth_rate * (mass + capped_mass) + r * imm_lam
-            if lam > SLOT_BUDGET:  # 24x the slot budget; numpy caps the mean
+            if lam > SLOT_BUDGET:  # far past the budget; numpy refuses ~1e19
                 raise _slot_error(rep.size + lam, (k + 1) * dt)
             n_born = int(gen.poisson(birth_rate * mass)) if mass > 0.0 else 0
             if capped_mass > 0.0:
