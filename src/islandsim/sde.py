@@ -577,11 +577,7 @@ def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
     """`_exact_inflow_substep` on live components (old > 0 or inflow > 0).
 
     mu_x and s2_x are arrays of one shape, which may be a broadcast of old's
-    (the level split passes island ratios of shape (r, 1, islands)).  The
-    series for small |b dt| is evaluated on the index subset that needs it
-    while that subset is under a third of the block (gathers cost more per
-    element than a masked pass); entrance points at 0 (b = 1 - mu'(0) can
-    vanish there) can make it most of the block.
+    (the level split passes island ratios of shape (r, 1, islands)).
     """
     b = 1.0 - mu_x
     c = s2_x
@@ -591,18 +587,11 @@ def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
     neg = -bdt
     em = -np.expm1(neg)  # 1 - e^{-b dt}, sign matches b
     small = np.abs(bdt) < 1e-10
-    n_small = np.count_nonzero(small)
-    den = 4.0 * b
-    if 3 * n_small > small.size:  # mostly small: masked passes beat gathers
+    if small.any():
         f = np.where(small, c * dt * 0.25 * (1.0 - 0.5 * bdt),
-                     c * em / np.where(small, 1.0, den))
-    elif n_small:
-        at = small.nonzero()
-        den[at] = 1.0
-        f = c * em / den
-        f[at] = c[at] * dt * 0.25 * (1.0 - 0.5 * bdt[at])
+                     c * em / np.where(small, 1.0, 4.0 * b))
     else:
-        f = c * em / den
+        f = c * em / (4.0 * b)
     decay = old * np.exp(neg)
     ok = c > 0.0
     if ok.all():

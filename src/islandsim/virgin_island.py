@@ -352,6 +352,9 @@ def _pick_slots(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 # slot arrays (replicate id, value, generation) take 24 bytes per slot
 SLOT_BYTES = 24
 SLOT_BUDGET = 2**28
+# numpy's Generator.poisson refuses larger means
+POISSON_LAM_MAX = (float(np.iinfo(np.int64).max)
+                   - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
 
 def _slot_error(slots: float, t: float) -> SolverError:
@@ -387,8 +390,10 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
       5. an integer in [0, replicates) per immigrant, its replicate;
     then the step of every slot (`sde._step`).  Daughters append in mother
     slot order, immigrants in replicate order.  A step whose slots would
-    pass SLOT_BUDGET bytes raises SolverError before the allocation draws
-    (without any draw when the step's Poisson means sum past SLOT_BUDGET).
+    pass SLOT_BUDGET bytes raises SolverError before the allocation draws,
+    and before any draw when the mean number of new slots alone passes it.
+    Dropped births take no slot; they raise SolverError only when their mean
+    passes the largest one numpy draws (POISSON_LAM_MAX).
 
     reducers: mapping name -> fn(rep_ids, values, r) -> per-replicate vector,
     evaluated at each report node.  Returns {name: array (distinct report
@@ -424,7 +429,6 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
         rep = np.repeat(np.arange(r), roots.size)
         val = np.tile(roots, r)
         gens = np.zeros(rep.size, dtype=np.int64)
-        top = 0  # highest generation present so far
         for k in range(n + 1):
             i = node_pos.get(k)
             if i is not None:
@@ -433,21 +437,22 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
             if k == n:
                 break
             # births from the pre-step values, landing at node k+1
-            if top < generation_cap:
-                cum, capped_mass = np.cumsum(val), 0.0
-            elif generation_cap == 0:  # every slot is capped
-                cum, capped_mass = val[:0], float(val.sum())
-            else:
-                capped = gens >= generation_cap
-                cum = np.cumsum(np.where(capped, 0.0, val))
-                capped_mass = float(val[capped].sum())
+            capped = gens >= generation_cap
+            cum = np.cumsum(np.where(capped, 0.0, val))
+            capped_mass = float(val[capped].sum())
             mass = float(cum[-1]) if cum.size else 0.0
-            lam = birth_rate * (mass + capped_mass) + r * imm_lam
-            if lam > SLOT_BUDGET:  # far past the budget; numpy refuses ~1e19
-                raise _slot_error(rep.size + lam, (k + 1) * dt)
+            new_slots = birth_rate * mass + r * imm_lam
+            if new_slots > SLOT_BUDGET // SLOT_BYTES:  # before any draw
+                raise _slot_error(rep.size + new_slots, (k + 1) * dt)
             n_born = int(gen.poisson(birth_rate * mass)) if mass > 0.0 else 0
             if capped_mass > 0.0:
-                dropped += int(gen.poisson(birth_rate * capped_mass))
+                lam = birth_rate * capped_mass
+                if not lam <= POISSON_LAM_MAX:
+                    raise SolverError(
+                        f"dropped births at t = {(k + 1) * dt:g} have mean "
+                        f"{lam:g}, past the largest Poisson mean numpy "
+                        "draws; raise delta")
+                dropped += int(gen.poisson(lam))
             n_imm = int(gen.poisson(r * imm_lam)) if imm_lam > 0.0 else 0
             if (rep.size + n_born + n_imm) * SLOT_BYTES > SLOT_BUDGET:
                 raise _slot_error(rep.size + n_born + n_imm, (k + 1) * dt)
@@ -461,7 +466,6 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                 if n_born:
                     rep_parts.append(rep[mothers])
                     gen_parts.append(gens[mothers] + 1)
-                    top = max(top, int(gen_parts[-1].max()))
                 if n_imm:
                     rep_parts.append(imm_rep)
                     gen_parts.append(np.zeros(n_imm, dtype=np.int64))

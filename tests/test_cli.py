@@ -195,6 +195,18 @@ def test_duality_tiny_delta_outgrows_the_tree_slots_exits_3(tmp_path, capsys):
     assert "raise delta" in capsys.readouterr().err
 
 
+def test_compare_tiny_delta_with_cap_0_allocates_nothing(tmp_path):
+    # with generation_cap 0 the tree only counts its births: their mean
+    # passes the slot budget at delta 1e-9, but no slot is allocated
+    cfg = write_cfg(tmp_path, **{"drift.params.gamma": 3.0}, delta=1e-9,
+                    topology=4, x_init=[0.2, 0.2], theta=0.0,
+                    generation_cap=0,
+                    functionals=[{"kind": "one_minus_exp", "lambdas": [1.0],
+                                  "times": [0.5]}])
+    assert cli_main(["compare", "--config", cfg,
+                     "--out", str(tmp_path / "cmp")]) == 0
+
+
 def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, horizon=1e-9, dt=1.0, x_init=[0.5])
     assert cli_main(["tree", "--config", cfg,

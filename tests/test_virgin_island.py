@@ -30,6 +30,7 @@ from islandsim import (
 )
 from islandsim.exceptions import SolverError
 from islandsim.virgin_island import (
+    SLOT_BUDGET,
     _pick_slots,
     bin_count_reducer,
     excursion_mass_above,
@@ -311,6 +312,22 @@ def test_tree_stats_slot_guard():
         sample_tree_stats(spec, (1.0,), 0.0, 1e-300, g, seed=0,
                           replicates=1000, report_nodes=[g.n_steps],
                           reducers={"V": total_mass_reducer}, tag=0)
+
+
+def test_tree_stats_dropped_births_take_no_slots():
+    # with generation_cap 0 every birth is dropped and only counted: a tiny
+    # delta makes the dropped mean pass the slot budget with nothing to
+    # allocate, and only a mean past numpy's Poisson limit stops the run
+    spec = CoefficientSpec(Logistic(3.0, 1.0), LinearDiffusion(1.0),
+                           DomainInterval())
+    g = TimeGrid(0.0, 0.1, 1e-3)
+    kw = dict(seed=0, replicates=1000, report_nodes=[g.n_steps],
+              reducers={"V": total_mass_reducer}, tag=0, generation_cap=0)
+    res = sample_tree_stats(spec, (1.0,), 0.0, 1e-9, g, **kw)
+    assert res["_dropped_births"] > SLOT_BUDGET
+    with pytest.raises(SolverError, match="Poisson mean") as err:
+        sample_tree_stats(spec, (1.0,), 0.0, 1e-300, g, **kw)
+    assert "slot" not in str(err.value)
 
 
 def test_bin_count_reducer():
