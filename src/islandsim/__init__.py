@@ -15,8 +15,6 @@ from .coefficients import (
     SelectionMutation,
     ValidationReport,
     WrightFisher,
-    eval_diffusion_sq,
-    eval_drift,
     validate_assumptions,
 )
 from .exceptions import (
@@ -43,7 +41,6 @@ from .analytics import (
     speed_mass,
 )
 from .sde import (
-    ImmigrationProfile,
     MigrationMatrix,
     Path,
     TimeGrid,
@@ -51,7 +48,6 @@ from .sde import (
     sample_system_stats,
     simulate_single,
     simulate_system,
-    simulate_with_immigration,
     single_batch_stats,
 )
 from .virgin_island import (
@@ -61,13 +57,10 @@ from .virgin_island import (
     export_tree_csv,
     sample_excursion,
     sample_tree_stats,
-    spectrum,
-    total_mass,
 )
 from .mean_field import (
     ParticleEnsemble,
     duality_gap,
-    export_ensemble_csv,
     simulate_mckean_vlasov,
 )
 from .experiments import (

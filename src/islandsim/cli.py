@@ -25,7 +25,7 @@ from .experiments import (ExperimentConfig, ExperimentReport,
                           snapshot_config)
 from .sde import (MigrationMatrix, TimeGrid, export_path_csv, simulate_single,
                   simulate_system)
-from .virgin_island import build_tree, export_spectrum_csv, export_tree_csv, spectrum
+from .virgin_island import build_tree, export_spectrum_csv, export_tree_csv
 
 __all__ = ["cli_main", "main"]
 
@@ -168,7 +168,7 @@ def _cmd_tree(raw, spec, args) -> int:
     extras = {}
     if "bin_edges" in raw:
         t_snap = cfg.eval_time if cfg.eval_time is not None else cfg.grid.horizon
-        snap_t = spectrum(tree, t_snap, cfg.bin_edges)
+        snap_t = tree.spectrum(t_snap, cfg.bin_edges)
         spec_path = os.path.join(args.out, "spectrum.csv")
         export_spectrum_csv(snap_t, spec_path)
         extras["spectrum_csv"] = spec_path

@@ -20,11 +20,11 @@ and pass the built-in families in their documented parameter ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError
+from .exceptions import ConfigError
 
 ArrayLike = "float | np.ndarray"
 
@@ -412,23 +412,6 @@ class CoefficientSpec:
         if self.domain.finite:
             hint = min(hint, self.domain.upper)
         return hint
-
-    def with_structure(self, **flags) -> "CoefficientSpec":
-        return replace(self, structure=replace(self.structure, **flags))
-
-
-def eval_drift(spec: CoefficientSpec, x):
-    """mu(x) for x in the domain (DomainError outside)."""
-    if not spec.domain.contains(x, tol=1e-12):
-        raise DomainError(f"state outside [0, {spec.domain.upper}]")
-    return spec.mu(x)
-
-
-def eval_diffusion_sq(spec: CoefficientSpec, x):
-    """sigma2(x) for x in the domain (DomainError outside)."""
-    if not spec.domain.contains(x, tol=1e-12):
-        raise DomainError(f"state outside [0, {spec.domain.upper}]")
-    return spec.sigma2(x)
 
 
 # ---------------------------------------------------------------------------

@@ -21,34 +21,26 @@ import numpy as np
 from . import rng as rngmod
 from .coefficients import CoefficientSpec, LinearDiffusion, Logistic
 from .exceptions import ConfigError, DomainError
-from .sde import Path, TimeGrid, _euler_clip, _noise_columns, _step
+from .sde import TimeGrid, _euler_clip, _noise_columns, _step
 from .virgin_island import sample_tree_stats, total_mass_reducer
 
-__all__ = ["ParticleEnsemble", "simulate_mckean_vlasov", "duality_gap",
-           "export_ensemble_csv"]
+__all__ = ["ParticleEnsemble", "simulate_mckean_vlasov", "duality_gap"]
 
 
 @dataclass
 class ParticleEnsemble:
-    """Synchronously coupled particles; curves indexed by grid node."""
+    """Synchronously coupled particles: the empirical mean at every grid node
+    and the particle values at the last one."""
 
     grid: TimeGrid
     n_part: int
     mean_curve: np.ndarray
-    second_moment_curve: np.ndarray
     final_values: np.ndarray
-    values: np.ndarray | None = None  # (nodes, n_part), kept on request
-
-    def particle_path(self, i: int) -> Path:
-        if self.values is None:
-            raise ConfigError("per-particle paths were not stored; "
-                              "rerun with store_paths=True")
-        return Path(self.grid, self.values[:, i].copy())
 
 
 def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
                            grid: TimeGrid, seed: int, ensemble_tag: int = 0,
-                           particle_keys=None, store_paths: bool = False,
+                           particle_keys=None,
                            boundary: str = "clip") -> ParticleEnsemble:
     """Run one particle ensemble from a point mass or a sampled initial law.
 
@@ -94,13 +86,8 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
         noise = None
         gen = rngmod.substream(seed, rngmod.MEAN_FIELD, ensemble_tag)
     mean_curve = np.empty(n + 1)
-    m2_curve = np.empty(n + 1)
-    stored = np.empty((n + 1, n_part)) if store_paths else None
     for k in range(n + 1):
         mean_curve[k] = math.fsum(v.tolist()) / n_part
-        m2_curve[k] = math.fsum((v * v).tolist()) / n_part
-        if stored is not None:
-            stored[k] = v
         if k == n:
             break
         if gen is None:
@@ -109,18 +96,7 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
         else:
             v, _ = _step(spec, v, dt, gen, boundary, mean_curve[k])
     return ParticleEnsemble(grid=grid, n_part=n_part, mean_curve=mean_curve,
-                            second_moment_curve=m2_curve, final_values=v,
-                            values=stored)
-
-
-def export_ensemble_csv(ens: ParticleEnsemble, fname: str) -> None:
-    """Rows: t, empirical_mean, empirical_second_moment."""
-    times = ens.grid.times()
-    with open(fname, "w", newline="") as fh:
-        fh.write("t,empirical_mean,empirical_second_moment\n")
-        for i in range(times.size):
-            fh.write(f"{float(times[i])!r},{float(ens.mean_curve[i])!r},"
-                     f"{float(ens.second_moment_curve[i])!r}\n")
+                            final_values=v)
 
 
 def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,

@@ -15,7 +15,6 @@ import numpy as np
 # Purpose tags.  Distinct tags keep streams for different roles disjoint even
 # when the structural indices collide.
 SINGLE = 1
-IMMIGRATION = 2
 SYSTEM = 3
 LEVELS = 4
 LOOP_FREE = 5

@@ -13,8 +13,8 @@ locally linearized model (`_exact_inflow_substep`), above it an Euler step.
 Single-island Euler steps ("bridge" takes them at every level) kill a path
 that steps to or below 0, or with the Brownian-bridge probability
 exp(-2 v w / (sigma2(v) dt)) on a step from v to w, and stopping levels get
-the matching up-crossing correction.  `simulate_with_immigration` and the
-object-level system op clamp: 0 is not absorbing with inflow present.
+the matching up-crossing correction.  The object-level system op clamps: 0
+is not absorbing with inflow present.
 
 One vector step.  An island of a system, an excursion and a mean-field
 particle all run dY = (a - Y + mu(Y)) dt + sqrt(sigma2(Y)) dB; only the
@@ -172,17 +172,13 @@ class LevelSystemPath:
     def n_islands(self) -> int:
         return self.values.shape[2]
 
-    def level_totals(self) -> np.ndarray:
-        """Sum over islands; shape (nodes, levels)."""
-        return self.values.sum(axis=2)
-
     def unsplit(self) -> SystemPath:
         """Sum over levels, recovering the plain system view."""
         return SystemPath(self.grid, self.values.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
-# migration and immigration inputs
+# migration input
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -208,53 +204,6 @@ class MigrationMatrix:
     @property
     def n_islands(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class ImmigrationProfile:
-    """Inflow rate zeta(t) >= 0 for a single island with immigration."""
-
-    kind: str
-    value: float = 0.0
-    table: np.ndarray | None = None
-    path: Path | None = None
-    scale: float = 1.0
-
-    @classmethod
-    def constant(cls, c: float) -> "ImmigrationProfile":
-        if c < 0:
-            raise ConfigError("immigration rate must be nonnegative")
-        return cls(kind="constant", value=c)
-
-    @classmethod
-    def from_table(cls, values) -> "ImmigrationProfile":
-        arr = np.asarray(values, dtype=float)
-        if np.any(arr < 0):
-            raise ConfigError("immigration rates must be nonnegative")
-        return cls(kind="table", table=arr)
-
-    @classmethod
-    def from_path(cls, path: Path, scale: float = 1.0) -> "ImmigrationProfile":
-        if scale < 0:
-            raise ConfigError("scale must be nonnegative")
-        return cls(kind="path", path=path, scale=scale)
-
-    def rates(self, grid: TimeGrid) -> np.ndarray:
-        """zeta at the step-start nodes (length n_steps)."""
-        n = grid.n_steps
-        if self.kind == "constant":
-            return np.full(n, self.value)
-        if self.kind == "table":
-            if len(self.table) not in (n, n + 1):
-                raise ConfigError("table length must match the grid")
-            return np.asarray(self.table[:n], dtype=float)
-        src = self.path.grid
-        if abs(src.dt - grid.dt) > 1e-12:
-            raise ConfigError("path immigration requires matching dt")
-        off = src.node_of(grid.t0)
-        if off + n > src.n_steps + 1:
-            raise ConfigError("immigration path does not cover the grid")
-        return self.scale * self.path.values[off:off + n]
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +422,6 @@ def _single_path(spec: CoefficientSpec, x0: float, dt: float, n_max: int,
             break
     buf.resize(n + 1, refcheck=False)  # trims in place: a long path is not copied
     return buf, v > 0.0
-
-
-def simulate_with_immigration(spec: CoefficientSpec, profile: ImmigrationProfile,
-                              x0: float, grid: TimeGrid, seed: int) -> Path:
-    """One island with inflow: dY = (zeta(t) - Y + mu(Y)) dt + sqrt(sigma2) dB."""
-    _check_x0(spec, x0)
-    _check_storage(grid, 1)
-    n = grid.n_steps
-    zeta = profile.rates(grid)
-    noise = _noise_columns(seed, rngmod.IMMIGRATION, n, [(0,)])[:, 0]
-    out = np.empty(n + 1)
-    out[0] = v = float(x0)
-    for k in range(n):
-        out[k + 1] = v = _euler_clip(v, zeta[k], spec.mu(v), spec.sigma2(v),
-                                     noise[k], grid.dt, spec.domain.upper)
-    return Path(grid, out)
 
 
 def simulate_system(spec: CoefficientSpec, topology, theta: float, x0,

@@ -32,7 +32,6 @@ from .sde import (Path, TimeGrid, _check_boundary, _report_nodes,
 __all__ = [
     "Excursion", "Island", "VirginIslandTree", "SpectrumSnapshot",
     "excursion_mass_above", "sample_excursion", "build_tree",
-    "total_mass", "generation_mass", "spectrum",
     "sample_tree_stats", "total_mass_reducer", "bin_count_reducer",
     "export_tree_csv", "export_spectrum_csv",
 ]
@@ -45,6 +44,18 @@ def excursion_mass_above(spec: CoefficientSpec, delta: float) -> float:
     if not 0.0 < delta < spec.domain.upper:
         raise ConfigError("delta must lie strictly inside the domain")
     return 1.0 / scale_function(spec, delta)
+
+
+def _tree_inputs(spec: CoefficientSpec, x_init, theta: float, delta: float,
+                 boundary: str):
+    """Check the inputs of a tree engine; return (x_init, 1/S(delta))."""
+    x_init = tuple(float(x) for x in x_init)
+    if any(x < 0.0 for x in x_init):
+        raise ConfigError("initial masses must be nonnegative")
+    if theta < 0.0:
+        raise ConfigError("theta must be nonnegative")
+    _check_boundary(boundary)
+    return x_init, excursion_mass_above(spec, delta)
 
 
 @dataclass
@@ -177,70 +188,67 @@ class VirginIslandTree:
         self._check_t(t)
         return math.fsum(isl.value_at(t) for isl in self.islands)
 
-    def generation_mass(self, n: int, t: float) -> float:
-        self._check_t(t)
-        return math.fsum(isl.value_at(t) for isl in self.islands
-                         if isl.generation == n)
-
-    def max_generation(self) -> int:
-        return max((isl.generation for isl in self.islands), default=0)
-
     def spectrum(self, t: float, edges) -> SpectrumSnapshot:
+        """Island counts per mass bin at time t."""
         self._check_t(t)
-        return _spectrum_of(np.asarray([isl.value_at(t) for isl in self.islands]),
-                            t, edges)
+        edges = np.asarray(edges, dtype=float)
+        if edges.ndim != 1 or edges.size < 2:
+            raise ConfigError("need at least two bin edges")
+        if not (np.all(np.diff(edges) > 0.0) and edges[0] > 0.0):
+            raise ConfigError(
+                "bin edges must be strictly positive and increasing")
+        counts, _ = np.histogram(
+            np.asarray([isl.value_at(t) for isl in self.islands]), bins=edges)
+        return SpectrumSnapshot(time=t, edges=edges, counts=counts)
 
 
-def total_mass(tree: VirginIslandTree, t: float) -> float:
-    return tree.total_mass(t)
+# memory budget of one tree: the stored path values of `build_tree` (8 bytes
+# each) or the slot arrays of `sample_tree_stats` (replicate id, value,
+# generation: 24 bytes per slot)
+SLOT_BUDGET = 2**28
+NODE_BYTES = 8
+SLOT_BYTES = 24
+# numpy's Generator.poisson refuses larger means
+POISSON_LAM_MAX = (float(np.iinfo(np.int64).max)
+                   - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
 
-def generation_mass(tree: VirginIslandTree, n: int, t: float) -> float:
-    return tree.generation_mass(n, t)
+def _budget_error(what: str, count: float, unit: str,
+                  nbytes: int) -> SolverError:
+    return SolverError(
+        f"{what} would pass {SLOT_BUDGET >> 20} MB ({count:.3g} {unit} at "
+        f"{nbytes} bytes each); raise delta, shorten the horizon or lower "
+        "generation_cap")
 
 
-def _spectrum_of(values: np.ndarray, t: float, edges) -> SpectrumSnapshot:
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ConfigError("need at least two bin edges")
-    if not (np.all(np.diff(edges) > 0.0) and edges[0] > 0.0):
-        raise ConfigError("bin edges must be strictly positive and increasing")
-    counts, _ = np.histogram(values, bins=edges)
-    return SpectrumSnapshot(time=t, edges=edges, counts=counts)
+def _slot_error(slots: float, t: float) -> SolverError:
+    return _budget_error(f"tree slot arrays at t = {t:g}", slots, "islands",
+                         SLOT_BYTES)
 
 
-def spectrum(source, t: float, edges) -> SpectrumSnapshot:
-    """Mass spectrum of a VirginIslandTree or a SystemPath at time t."""
-    if isinstance(source, VirginIslandTree):
-        return source.spectrum(t, edges)
-    times = source.grid.times()
-    if t < times[0] or t > times[-1] * (1.0 + 1e-12):
-        raise DomainError("query time outside the path's grid")
-    vals = np.array([np.interp(t, times, source.values[:, i])
-                     for i in range(source.values.shape[1])])
-    return _spectrum_of(vals, t, edges)
+def _check_dropped(lam: float, where: str) -> None:
+    """Dropped births are only counted: refuse a mean numpy cannot draw."""
+    if not lam <= POISSON_LAM_MAX:
+        raise SolverError(
+            f"dropped births {where} have mean {lam:g}, past the largest "
+            "Poisson mean numpy draws; raise delta")
 
 
-def _birth_times(exc: Excursion, inv_mass: float,
+def _birth_times(cum: np.ndarray, lam: float, dt: float,
                  gen: np.random.Generator) -> np.ndarray:
     """Daughter birth times (local, sorted) for one mother excursion.
 
-    The count is Poisson with mean (integral of chi) * inv_mass and the times
-    are drawn by inverse CDF on the trapezoid-integrated path.
+    cum is the trapezoid-integrated mother path at its nodes 0, dt, 2 dt, ...
+    The count is Poisson(lam) and the times are drawn by inverse CDF on cum.
     """
-    v = exc.path.values
-    dt = exc.path.grid.dt
-    seg = 0.5 * (v[:-1] + v[1:]) * dt
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = cum[-1]
     if total <= 0.0:
         return np.empty(0)
-    n = int(gen.poisson(total * inv_mass))
+    n = int(gen.poisson(lam))
     if n == 0:
         return np.empty(0)
     u = gen.random(n) * total
-    t_nodes = np.arange(len(v)) * dt
-    return np.sort(np.interp(u, cum, t_nodes))
+    return np.sort(np.interp(u, cum, np.arange(cum.size) * dt))
 
 
 def build_tree(spec: CoefficientSpec, x_init, theta: float, T: float,
@@ -256,23 +264,31 @@ def build_tree(spec: CoefficientSpec, x_init, theta: float, T: float,
     `dropped_births` instead of being created.  Each island's path is
     simulated to its local horizon T - s; paths still alive there are counted
     in `censored_count`.
+
+    The stored path values (NODE_BYTES each) get the SLOT_BUDGET of
+    `sample_tree_stats`.  Every island holds one from its birth on and the
+    rest of its path once simulated.  The tree raises SolverError when they
+    pass it, and before an immigrant or birth draw whose mean alone would.
     """
-    x_init = tuple(float(x) for x in x_init)
-    if any(x < 0.0 for x in x_init):
-        raise ConfigError("initial masses must be nonnegative")
-    if theta < 0.0:
-        raise ConfigError("theta must be nonnegative")
-    if not 0.0 < delta < spec.domain.upper:
-        raise ConfigError("delta must lie strictly inside the domain")
+    x_init, inv_mass = _tree_inputs(spec, x_init, theta, delta, boundary)
     if abs(T - grid.horizon) > 1e-9 * max(1.0, T) or grid.t0 != 0.0:
         raise ConfigError("grid must start at 0 and span exactly T")
-    _check_boundary(boundary)
     dt = grid.dt
-    inv_mass = 1.0 / scale_function(spec, delta)
 
     pending = [(None, 0, 0.0, x) for x in x_init if x > 0.0]
+    budget = SLOT_BUDGET // NODE_BYTES
+    room = budget - len(pending)  # path values left in the budget
+
+    def check_room(lam: float) -> None:
+        if not lam <= room:
+            raise _budget_error("tree paths", budget - room + lam, "values",
+                                NODE_BYTES)
+
     g_imm = rngmod.substream(seed, rngmod.TREE, 0)
-    n_imm = int(g_imm.poisson(theta * T * inv_mass))
+    lam = theta * T * inv_mass
+    check_room(lam)
+    n_imm = int(g_imm.poisson(lam))
+    room -= n_imm
     for s in np.sort(g_imm.random(n_imm)) * T:
         pending.append((None, 0, float(s), None))
 
@@ -300,12 +316,22 @@ def build_tree(spec: CoefficientSpec, x_init, theta: float, T: float,
             isl = Island(id=iid, parent_id=parent_id, generation=generation,
                          s=s, excursion=exc)
             islands.append(isl)
+            v = exc.path.values
+            room -= v.size - 1
+            cum = np.concatenate(([0.0],
+                                  np.cumsum(0.5 * (v[:-1] + v[1:]) * dt)))
+            lam = float(cum[-1]) * inv_mass
+            capped = generation >= generation_cap
+            if capped:
+                _check_dropped(lam, f"of island {iid}")
+            check_room(0.0 if capped else lam)
             g_b = rngmod.substream(seed, rngmod.EXCURSION, iid, 1)
-            births = _birth_times(exc, inv_mass, g_b)
+            births = _birth_times(cum, lam, dt, g_b)
             births = births[s + births < T]
-            if generation >= generation_cap:
+            if capped:
                 dropped += births.size
             else:
+                room -= births.size
                 for tau in births:
                     next_pending.append((iid, generation + 1, s + float(tau),
                                          None))
@@ -349,21 +375,6 @@ def _pick_slots(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-# slot arrays (replicate id, value, generation) take 24 bytes per slot
-SLOT_BYTES = 24
-SLOT_BUDGET = 2**28
-# numpy's Generator.poisson refuses larger means
-POISSON_LAM_MAX = (float(np.iinfo(np.int64).max)
-                   - 10.0 * math.sqrt(np.iinfo(np.int64).max))
-
-
-def _slot_error(slots: float, t: float) -> SolverError:
-    return SolverError(
-        f"tree slot arrays would pass {SLOT_BUDGET >> 20} MB at t = {t:g} "
-        f"({slots:.0f} islands at {SLOT_BYTES} bytes each); raise delta, "
-        "shorten the horizon or lower generation_cap")
-
-
 def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                       grid: TimeGrid, seed: int, replicates: int,
                       report_nodes, reducers, tag: int,
@@ -402,19 +413,11 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
     TREE_CHUNK replicates, results independent of worker count but tied to
     the chunk constant.
     """
-    x_init = tuple(float(x) for x in x_init)
-    if any(x < 0.0 for x in x_init):
-        raise ConfigError("initial masses must be nonnegative")
-    if theta < 0.0:
-        raise ConfigError("theta must be nonnegative")
-    if not 0.0 < delta < spec.domain.upper:
-        raise ConfigError("delta must lie strictly inside the domain")
-    _check_boundary(boundary)
+    x_init, inv_mass = _tree_inputs(spec, x_init, theta, delta, boundary)
     n = grid.n_steps
     nodes = _report_nodes(report_nodes, grid)
     node_pos = {k: i for i, k in enumerate(nodes)}
     dt = grid.dt
-    inv_mass = 1.0 / scale_function(spec, delta)
     birth_rate = dt * inv_mass
     imm_lam = theta * dt * inv_mass
     roots = np.asarray([x for x in x_init if x > 0.0])
@@ -447,11 +450,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
             n_born = int(gen.poisson(birth_rate * mass)) if mass > 0.0 else 0
             if capped_mass > 0.0:
                 lam = birth_rate * capped_mass
-                if not lam <= POISSON_LAM_MAX:
-                    raise SolverError(
-                        f"dropped births at t = {(k + 1) * dt:g} have mean "
-                        f"{lam:g}, past the largest Poisson mean numpy "
-                        "draws; raise delta")
+                _check_dropped(lam, f"at t = {(k + 1) * dt:g}")
                 dropped += int(gen.poisson(lam))
             n_imm = int(gen.poisson(r * imm_lam)) if imm_lam > 0.0 else 0
             if (rep.size + n_born + n_imm) * SLOT_BYTES > SLOT_BUDGET:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -193,6 +194,33 @@ def test_duality_tiny_delta_outgrows_the_tree_slots_exits_3(tmp_path, capsys):
     assert cli_main(["duality", "--config", cfg,
                      "--out", str(tmp_path / "d")]) == 3
     assert "raise delta" in capsys.readouterr().err
+
+
+def test_tree_tiny_delta_outgrows_the_path_budget_exits_3(tmp_path, capsys):
+    # delta 1e-9 asks for about 1e8 immigrants, 1e-300 for a Poisson mean
+    # numpy cannot draw: both stop before the draw, within seconds
+    for delta in (1e-9, 1e-300):
+        cfg = write_cfg(tmp_path, theta=1.0, x_init=[0.5], horizon=0.1,
+                        dt=0.01, delta=delta)
+        t0 = time.perf_counter()
+        assert cli_main(["tree", "--config", cfg,
+                         "--out", str(tmp_path / "t")]) == 3
+        assert time.perf_counter() - t0 < 30.0
+        assert "raise delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tree", "compare", "duality",
+                                     "identities", "converge"])
+def test_delta_1e_300_keeps_the_exit_contract(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, delta=1e-300, theta=1.0, x_init=[0.5],
+                    horizon=0.1, dt=0.01, topology=4, n_ladder=[1, 4],
+                    eval_time=0.1, n_part=100,
+                    duality_points=[[1.0, 1.0, 0.1]],
+                    functionals=[{"kind": "one_minus_exp", "lambdas": [1.0],
+                                  "times": [0.1]}])
+    assert cli_main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) in (2, 3)
+    assert len(capsys.readouterr().err) < 300
 
 
 def test_compare_tiny_delta_with_cap_0_allocates_nothing(tmp_path):

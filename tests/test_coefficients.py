@@ -11,7 +11,6 @@ from islandsim import (
     CoefficientSpec,
     ConfigError,
     CustomDrift,
-    DomainError,
     DomainInterval,
     LinearDiffusion,
     LinearDrift,
@@ -21,8 +20,6 @@ from islandsim import (
     PowerDrift,
     SelectionMutation,
     WrightFisher,
-    eval_diffusion_sq,
-    eval_drift,
     validate_assumptions,
 )
 
@@ -76,14 +73,6 @@ def test_power_families_validate_exponents():
 
 
 def test_domain_guards():
-    spec = logistic_spec()
-    assert eval_drift(spec, 1.0) == pytest.approx(0.0)
-    with pytest.raises(DomainError):
-        eval_drift(spec, -0.5)
-    wf = CoefficientSpec(SelectionMutation(1.0, 0.0), WrightFisher(),
-                         DomainInterval(1.0))
-    with pytest.raises(DomainError):
-        eval_diffusion_sq(wf, 1.5)
     with pytest.raises(ConfigError):
         DomainInterval(0.0)
 

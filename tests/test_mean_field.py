@@ -15,7 +15,6 @@ from islandsim import (
     Logistic,
     TimeGrid,
     duality_gap,
-    export_ensemble_csv,
     gamma_rho_cdf,
     sample_gamma_rho,
     simulate_mckean_vlasov,
@@ -39,9 +38,6 @@ def test_point_mass_start_moments():
     g = TimeGrid(0.0, 0.2, 0.01)
     ens = simulate_mckean_vlasov(logistic_spec(), 0.7, 100, g, seed=2)
     assert ens.mean_curve[0] == pytest.approx(0.7)
-    assert ens.second_moment_curve[0] == pytest.approx(0.49)
-    # Jensen at every node
-    assert np.all(ens.second_moment_curve >= ens.mean_curve**2 - 1e-12)
 
 
 def test_mean_is_conserved_without_reaction():
@@ -63,20 +59,8 @@ def test_permutation_of_particle_keys_is_bit_exact():
     b = simulate_mckean_vlasov(logistic_spec(), 0.5, n, g, seed=4,
                                particle_keys=[int(k) for k in perm])
     assert np.array_equal(a.mean_curve, b.mean_curve)
-    assert np.array_equal(a.second_moment_curve, b.second_moment_curve)
     assert not np.array_equal(a.final_values, b.final_values)
     assert np.array_equal(np.sort(a.final_values), np.sort(b.final_values))
-
-
-def test_stored_paths_match_final_values():
-    g = TimeGrid(0.0, 0.2, 0.01)
-    ens = simulate_mckean_vlasov(logistic_spec(), 0.5, 16, g, seed=5,
-                                 store_paths=True)
-    p = ens.particle_path(3)
-    assert p.values[-1] == ens.final_values[3]
-    lean = simulate_mckean_vlasov(logistic_spec(), 0.5, 16, g, seed=5)
-    with pytest.raises(ConfigError):
-        lean.particle_path(3)
 
 
 def test_input_validation():
@@ -104,18 +88,6 @@ def test_gamma_rho_is_invariant_for_the_mean_field_dynamics():
     ecdf = np.arange(1, n + 1) / n
     cdf = np.asarray(gamma_rho_cdf(sol, fin))
     assert np.max(np.abs(ecdf - cdf)) < 0.03
-
-
-def test_ensemble_csv(tmp_path):
-    g = TimeGrid(0.0, 0.1, 0.05)
-    ens = simulate_mckean_vlasov(logistic_spec(), 0.5, 10, g, seed=6)
-    f = tmp_path / "mv.csv"
-    export_ensemble_csv(ens, str(f))
-    lines = f.read_text().strip().split("\n")
-    assert lines[0] == "t,empirical_mean,empirical_second_moment"
-    assert lines[1].startswith("0.0,0.5,0.25")
-    assert len(lines) == 1 + 3
-    assert "np.float64" not in lines[1]
 
 
 # -- duality -----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from islandsim import (
     ConfigError,
     DomainError,
     DomainInterval,
-    ImmigrationProfile,
     LinearDiffusion,
     LinearDrift,
     Logistic,
@@ -29,7 +28,6 @@ from islandsim import (
     sample_system_stats,
     simulate_single,
     simulate_system,
-    simulate_with_immigration,
     single_batch_stats,
 )
 from islandsim.sde import (_exact_inflow_substep, _report_nodes, _single_path,
@@ -108,9 +106,6 @@ def test_single_ops_storage_guard_raises_before_allocating():
     g = TimeGrid(0.0, 1.0, 1e-8)  # 1e8 nodes = 800 MB
     with pytest.raises(ConfigError, match="too large"):
         simulate_single(logistic_spec(), 0.5, g, seed=0)
-    with pytest.raises(ConfigError, match="too large"):
-        simulate_with_immigration(feller(), ImmigrationProfile.constant(1.0),
-                                  0.5, g, seed=0)
 
 
 def test_scalar_exact_branch_matches_the_vector_kernel():
@@ -372,27 +367,6 @@ def test_inflow_kernel_degenerate_diffusion_is_ode():
     # c = 0: exact ODE step of dY = (a - Y) dt
     expected = 1.0 * math.exp(-0.1) + 0.3 * (1.0 - math.exp(-0.1))
     assert out[0] == pytest.approx(expected, rel=1e-12)
-
-
-# -- immigration ------------------------------------------------------------------
-
-def test_immigration_stationary_mean():
-    # dY = (theta - Y) dt + sqrt(2Y) dB has stationary law Gamma(theta, 1)
-    theta = 1.0
-    g = TimeGrid(0.0, 300.0, 0.01)
-    p = simulate_with_immigration(feller(), ImmigrationProfile.constant(theta),
-                                  theta, g, seed=21)
-    tail = p.values[g.node_of(50.0):]
-    assert abs(tail.mean() - theta) < 0.3
-
-
-def test_immigration_profile_validation():
-    with pytest.raises(ConfigError):
-        ImmigrationProfile.constant(-1.0)
-    g = TimeGrid(0.0, 1.0, 0.1)
-    prof = ImmigrationProfile.from_table(np.ones(3))
-    with pytest.raises(ConfigError):
-        simulate_with_immigration(feller(), prof, 0.5, g, seed=0)
 
 
 # -- systems ----------------------------------------------------------------------

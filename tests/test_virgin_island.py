@@ -24,12 +24,12 @@ from islandsim import (
     sample_excursion,
     sample_tree_stats,
     scale_function,
-    spectrum,
     export_tree_csv,
     export_spectrum_csv,
 )
 from islandsim.exceptions import SolverError
 from islandsim.virgin_island import (
+    NODE_BYTES,
     SLOT_BUDGET,
     _pick_slots,
     bin_count_reducer,
@@ -159,12 +159,31 @@ def test_tree_validation():
         build_tree(logistic_spec(), (0.5,), 0.0, 1.0, -0.1, g, seed=0)
 
 
+def test_tree_path_budget():
+    # at delta 1e-9 the immigrants (mean ~1e8) and the root's daughters
+    # (~5e7) would each pass the 2^25 path values of 256 MB; at 1e-300 numpy
+    # could not even draw them.  The tree refuses before the draw.
+    spec = logistic_spec()
+    g = TimeGrid(0.0, 0.1, 0.01)
+    for theta, delta in ((1.0, 1e-9), (1.0, 1e-300), (0.0, 1e-9)):
+        with pytest.raises(SolverError, match="tree paths would pass") as err:
+            build_tree(spec, (0.5,), theta, 0.1, delta, g, seed=0)
+        assert len(str(err.value)) < 200
+    # dropped births take no stored values: only numpy's limit stops them
+    tree = build_tree(spec, (0.5,), 0.0, 0.1, 1e-9, g, seed=0,
+                      generation_cap=0)
+    assert tree.dropped_births > SLOT_BUDGET // NODE_BYTES
+    with pytest.raises(SolverError, match="Poisson mean"):
+        build_tree(spec, (0.5,), 0.0, 0.1, 1e-300, g, seed=0,
+                   generation_cap=0)
+
+
 # -- spectrum ----------------------------------------------------------------------
 
 def test_spectrum_counts_roots_at_time_zero():
     g = TimeGrid(0.0, 1.0, 0.01)
     tree = build_tree(logistic_spec(), (0.7,), 0.0, 1.0, 0.1, g, seed=2)
-    snap = spectrum(tree, 0.0, (0.1, 0.5, 1.0))
+    snap = tree.spectrum(0.0, (0.1, 0.5, 1.0))
     assert snap.counts.sum() == 1
     assert snap.counts[1] == 1  # 0.7 lies in [0.5, 1.0)
 
@@ -172,7 +191,7 @@ def test_spectrum_counts_roots_at_time_zero():
 def test_spectrum_export(tmp_path):
     g = TimeGrid(0.0, 1.0, 0.01)
     tree = build_tree(logistic_spec(), (0.7,), 0.5, 1.0, 0.1, g, seed=2)
-    snap = spectrum(tree, 1.0, (0.1, 0.5, 1.0, 2.0))
+    snap = tree.spectrum(1.0, (0.1, 0.5, 1.0, 2.0))
     f = tmp_path / "spec.csv"
     export_spectrum_csv(snap, str(f))
     lines = f.read_text().strip().split("\n")
@@ -308,10 +327,12 @@ def test_tree_stats_slot_guard():
         sample_tree_stats(spec, (1.0,), 0.0, 1e-9, g, seed=0,
                           replicates=1000, report_nodes=[g.n_steps],
                           reducers={"V": total_mass_reducer}, tag=0)
-    with pytest.raises(SolverError, match="raise delta"):  # no draw at all
+    with pytest.raises(SolverError, match="raise delta") as err:  # no draw
         sample_tree_stats(spec, (1.0,), 0.0, 1e-300, g, seed=0,
                           replicates=1000, report_nodes=[g.n_steps],
                           reducers={"V": total_mass_reducer}, tag=0)
+    assert "(1e+300 islands at 24 bytes each)" in str(err.value)
+    assert len(str(err.value)) < 200
 
 
 def test_tree_stats_dropped_births_take_no_slots():
