@@ -169,11 +169,9 @@ def _cmd_tree(raw, spec, args) -> int:
     if "bin_edges" in raw:
         t_snap = cfg.eval_time if cfg.eval_time is not None else cfg.grid.horizon
         snap_t = tree.spectrum(t_snap, cfg.bin_edges)
-        spec_path = os.path.join(args.out, "spectrum.csv")
-        export_spectrum_csv(snap_t, spec_path)
-        extras["spectrum_csv"] = spec_path
-    snap = snapshot_config(cfg)
-    ExperimentReport("tree", cfg.seed, snap, (), [],
+        export_spectrum_csv(snap_t, os.path.join(args.out, "spectrum.csv"))
+        extras["spectrum_csv"] = "spectrum.csv"  # next to tree.json
+    ExperimentReport("tree", cfg.seed, snapshot_config(cfg), (), [],
                      {"islands": len(tree.islands),
                       "censored": tree.censored_count,
                       "dropped_births": tree.dropped_births,

@@ -6,7 +6,7 @@ at 0, so 0 traps; if upper is finite the drift must be nonpositive and the
 diffusion must vanish there.  The analytic quantities downstream (scale
 function, extinction criterion) need the ratios mu(x)/x and sigma2(x)/x
 evaluated stably at 0, so each family implements those ratios in closed form
-rather than by division.
+rather than by division; the ratios broadcast against x (a constant is 0-d).
 
 `validate_assumptions` probes a spec against the standing assumptions
 (boundary behavior, an upward-Lipschitz drift estimate, diffusion growth,
@@ -84,7 +84,7 @@ class Logistic:
 
 @dataclass(frozen=True)
 class LinearDrift:
-    """mu(x) = c * x."""
+    """mu(x) = c * x; mu(x)/x is the 0-d value c, broadcasting against x."""
 
     c: float
 
@@ -92,8 +92,7 @@ class LinearDrift:
         return self.c * np.asarray(x, dtype=float)
 
     def mu_over_x(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, self.c)
+        return np.float64(self.c)
 
     def scale_hint(self) -> float:
         return 1.0
@@ -248,7 +247,7 @@ class CustomDrift:
 
 @dataclass(frozen=True)
 class LinearDiffusion:
-    """sigma2(x) = 2 * beta * x."""
+    """sigma2(x) = 2 * beta * x; sigma2(x)/x is the 0-d value 2 * beta."""
 
     beta: float
 
@@ -260,8 +259,7 @@ class LinearDiffusion:
         return 2.0 * self.beta * np.asarray(x, dtype=float)
 
     def sigma2_over_x(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, 2.0 * self.beta)
+        return np.float64(2.0 * self.beta)
 
     def default_structure(self) -> "DeclaredStructure":
         return DeclaredStructure(
@@ -556,7 +554,8 @@ def validate_assumptions(spec: CoefficientSpec, probe_count: int = 2000, seed: i
     # which absorbs the h ~ 1/(upper - y) singularity of families that
     # vanish there (the Jacobian upper - y cancels it).
     def h_of(xs: np.ndarray) -> np.ndarray:
-        return 2.0 * (spec.mu_over_x(xs) - 1.0) / spec.sigma2_over_x(xs)
+        return np.broadcast_to(
+            2.0 * (spec.mu_over_x(xs) - 1.0) / spec.sigma2_over_x(xs), xs.shape)
 
     tiny = 1e-12 * spec.scale_hint()
     us = np.linspace(np.log(tiny), np.log(eps), 1500)

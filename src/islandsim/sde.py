@@ -509,14 +509,12 @@ def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
                   s2_x, dt: float) -> np.ndarray:
     """`_exact_inflow_substep` on live components (old > 0 or inflow > 0).
 
-    mu_x and s2_x are arrays of one shape, which may be a broadcast of old's
-    (the level split passes island ratios of shape (r, 1, islands)).
+    mu_x and s2_x broadcast against old: 0-d for a constant ratio, island
+    ratios of shape (r, 1, islands) in the level split.
     """
     b = 1.0 - mu_x
     c = s2_x
-    bdt = b * dt
-    np.maximum(bdt, -50.0, out=bdt)
-    np.minimum(bdt, 50.0, out=bdt)
+    bdt = np.minimum(np.maximum(b * dt, -50.0), 50.0)
     neg = -bdt
     em = -np.expm1(neg)  # 1 - e^{-b dt}, sign matches b
     small = np.abs(bdt) < 1e-10

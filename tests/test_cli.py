@@ -3,10 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
+from scipy import stats
 
+import islandsim
 from islandsim.cli import cli_main
 
 LOGISTIC = {
@@ -109,6 +113,17 @@ def test_tree_outputs(tmp_path):
     assert spec_lines.startswith("t,bin_lo,bin_hi,count")
     doc = json.load(open(os.path.join(out, "tree.json")))
     assert doc["metrics"]["islands"] == len(lines) - 1
+
+
+def test_tree_json_does_not_depend_on_the_out_dir(tmp_path):
+    cfg = write_cfg(tmp_path, theta=1.0, bin_edges=[0.1, 0.5, 1.0],
+                    x_init=[0.5])
+    outs = [str(tmp_path / "a"), str(tmp_path / "deeper" / "b")]
+    for out in outs:
+        assert cli_main(["tree", "--config", cfg, "--out", out]) == 0
+    docs = [open(os.path.join(out, "tree.json"), "rb").read() for out in outs]
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["metrics"]["spectrum_csv"] == "spectrum.csv"
 
 
 def test_duality_byte_determinism(tmp_path):
@@ -248,6 +263,36 @@ def test_identities_run(tmp_path):
     assert cli_main(["identities", "--config", cfg, "--out", out]) == 0
     doc = json.load(open(os.path.join(out, "identities.json")))
     assert "speed_snapshot_chi2_ok" in doc["verdicts"]
+
+
+def test_identities_run_loads_no_scipy_stats(tmp_path):
+    # scipy.stats costs about 0.5 s of start-up; the chi-square quantile
+    # comes from scipy.special, so neither the import nor a run loads it
+    cfg = tmp_path / "feller.json"
+    cfg.write_text(json.dumps({
+        "drift": {"family": "linear", "params": {"c": 0.0}},
+        "diffusion": {"family": "linear", "params": {"beta": 1.0}},
+        "eps": 1e-3, "dt": 1e-2, "horizon": 2.0, "delta": 0.1,
+        "theta": 1.0, "replicates": 200}))
+    code = (
+        "import sys\n"
+        "def stats():\n"
+        "    return [m for m in sys.modules\n"
+        "            if m == 'scipy.stats' or m.startswith('scipy.stats.')]\n"
+        "import islandsim\n"
+        "from islandsim.cli import cli_main\n"
+        "assert not stats(), stats()\n"
+        f"assert cli_main(['identities', '--config', {str(cfg)!r},\n"
+        f"                 '--out', {str(tmp_path / 'ids')!r}]) == 0\n"
+        "assert not stats(), stats()\n")
+    src = os.path.dirname(os.path.dirname(islandsim.__file__))
+    res = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    doc = json.load(open(tmp_path / "ids" / "identities.json"))
+    assert doc["metrics"]["speed_snapshot"]["crit_99"] == \
+        float(stats.chi2.ppf(0.99, 4))
 
 
 # -- exit codes ---------------------------------------------------------------------

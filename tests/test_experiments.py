@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from islandsim import (
     CoefficientSpec,
@@ -27,7 +28,7 @@ from islandsim import (
     run_identity_suite,
     tent,
 )
-from islandsim.experiments import config_hash, snapshot_config
+from islandsim.experiments import _chi2_ppf, config_hash, snapshot_config
 
 
 def logistic_spec():
@@ -160,6 +161,11 @@ def test_identity_report_and_se_shrink():
     se_col = 3
     assert rep_b.rows[0][se_col] < 0.8 * rep_s.rows[0][se_col]
     assert rep_b.rows[1][se_col] < 0.8 * rep_s.rows[1][se_col]
+
+
+def test_chi2_quantile_is_scipy_stats_bit_for_bit():
+    for dof in range(1, 65):
+        assert _chi2_ppf(0.99, dof) == float(stats.chi2.ppf(0.99, dof)), dof
 
 
 def test_analyze_rows_logistic_and_feller():
