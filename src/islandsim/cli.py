@@ -129,7 +129,8 @@ def _cmd_simulate(raw, spec, args) -> int:
     mode = raw.get("mode", "uniform")
     if mode == "single":
         x0 = cfg.x_init[0] if cfg.x_init else 0.5
-        path = simulate_single(spec, x0, cfg.grid, cfg.seed)
+        path = simulate_single(spec, x0, cfg.grid, cfg.seed,
+                               boundary=cfg.boundary)
     elif mode in _SYSTEM_MODES:
         if "n_islands" in raw:
             raise ConfigError("simulate takes the island count from "

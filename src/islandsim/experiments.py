@@ -31,7 +31,7 @@ from .coefficients import (CoefficientSpec, LinearDiffusion, Logistic,
                            DRIFT_FAMILIES, DIFFUSION_FAMILIES)
 from .exceptions import ConfigError
 from .mean_field import duality_gap
-from .sde import (MigrationMatrix, TimeGrid, _report_nodes,
+from .sde import (MigrationMatrix, TimeGrid, _check_boundary, _report_nodes,
                   sample_system_stats, single_batch_stats)
 from .virgin_island import bin_count_reducer, sample_tree_stats, total_mass_reducer
 
@@ -205,6 +205,7 @@ class ExperimentConfig:
             raise ConfigError("delta must lie strictly inside the domain")
         if self.theta < 0.0:
             raise ConfigError("theta must be nonnegative")
+        _check_boundary(self.boundary)
         self.x_init = tuple(float(x) for x in self.x_init)
 
     def tree_grid(self) -> TimeGrid:

@@ -6,9 +6,11 @@ the current empirical mean instead of E M_t.  The empirical mean is summed
 with math.fsum, so it is exact for the given values and therefore invariant
 under any permutation of the particles; reassigning the per-particle noise
 streams permutes the particle values but reproduces the mean curve bit for
-bit.  Stepping is by default the plain clamp scheme of the system simulators
-(0 is not absorbing: the mean-inflow term re-ignites particles); "exact"
-takes the batch engines' vector step with the mean as inflow.
+bit.  Stepping is by default the plain clamp scheme, truncated Euler clamped
+into [0, upper] on one noise stream per particle (0 is not absorbing: the
+mean-inflow term re-ignites particles); "exact" takes the batch engines'
+vector step with the mean as inflow.  Only the clamp keeps the mean curve
+bit-exact under particle permutation, since only it draws per particle.
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ import numpy as np
 from . import rng as rngmod
 from .coefficients import CoefficientSpec, LinearDiffusion, Logistic
 from .exceptions import ConfigError, DomainError
-from .sde import TimeGrid, _euler_clip, _noise_columns, _step
+from .sde import TimeGrid, _euler, _step
 from .virgin_island import sample_tree_stats, total_mass_reducer
 
 __all__ = ["ParticleEnsemble", "simulate_mckean_vlasov", "duality_gap"]
+
+
+def _noise_columns(seed: int, purpose: int, n_steps: int, keys) -> np.ndarray:
+    """Stack per-key streams into columns: shape (n_steps, len(keys))."""
+    return np.stack([rngmod.substream(seed, purpose, *k)
+                     .standard_normal(n_steps) for k in keys], axis=1)
 
 
 @dataclass
@@ -91,8 +99,8 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
         if k == n:
             break
         if gen is None:
-            v = _euler_clip(v, mean_curve[k], spec.mu(v), spec.sigma2(v),
-                            noise[k], dt, upper)
+            v = np.clip(_euler(v, mean_curve[k], spec.mu(v), spec.sigma2(v),
+                               noise[k], dt), 0.0, upper)
         else:
             v, _ = _step(spec, v, dt, gen, boundary, mean_curve[k])
     return ParticleEnsemble(grid=grid, n_part=n_part, mean_curve=mean_curve,

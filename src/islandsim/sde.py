@@ -1,33 +1,35 @@
-"""Truncated Euler-Maruyama simulation of single islands and island systems.
+"""Simulation of single islands and island systems near an absorbing 0.
 
-Stepping rule: coefficients are evaluated at the clamped previous state and
-the updated state is clamped back into [0, upper].  Both coefficients vanish
-at 0, so a state that reaches 0 with no inflow stays exactly 0.
+Stepping rule: Euler steps of dY = (a - Y + mu(Y)) dt + sqrt(sigma2(Y)) dB,
+kept in [0, upper]; under the default "exact" handling, a component below
+`switch_level(dt)` takes the exact transition of the locally linearized
+model (`_exact_inflow_substep`) instead.  Both coefficients vanish at 0, so
+a state that reaches 0 with no inflow stays exactly 0.
 
 Boundary handling at 0.  The plain clamp ("clip") is disastrously biased
 where 0 is absorbing: paths that ought to die keep getting reflected up (at
 dt = 1e-3 it inflates the mean excursion area from level 1e-3 by ~+80%).
-Single-island ops and the batch system engine therefore default to "exact":
-below `switch_level(dt)` a component takes the exact transition of the
-locally linearized model (`_exact_inflow_substep`), above it an Euler step.
-Single-island Euler steps ("bridge" takes them at every level) kill a path
-that steps to or below 0, or with the Brownian-bridge probability
+Single-island ops therefore default to "exact": the hybrid above.  Their
+Euler steps ("bridge" takes them at every level) kill a path that steps to
+or below 0, or with the Brownian-bridge probability
 exp(-2 v w / (sigma2(v) dt)) on a step from v to w, and stopping levels get
-the matching up-crossing correction.  The object-level system op clamps: 0
-is not absorbing with inflow present.
+the matching up-crossing correction; "clip" stays as an option there.
+Island systems always step exactly and take no boundary option: with inflow
+0 is an entrance point, and the exact kernel leaves there without the clamp
+bias that inflates a whole system's mass.
 
 One vector step.  An island of a system, an excursion and a mean-field
-particle all run dY = (a - Y + mu(Y)) dt + sqrt(sigma2(Y)) dB; only the
-inflow a differs: the routed mass plus theta/N in a system, none on an
-excursion or a single island (0 absorbs), the mean E M_t in the mean field.
-The batch engines (`single_batch_stats`, `virgin_island.sample_tree_stats`,
-the exact branch of `sample_system_stats` and of the mean-field solver) take
-every such step through `_step`, which draws nothing for absorbed
-components.  The object-level single-island ops (`simulate_single`, the
-excursions of `build_tree`) use the scalar loop `_single_path`, about 7x
-cheaper per step than the vector step on 1-element arrays; its exact branch
-is `_exact_inflow_substep` with inflow 0 in scalar form, consuming the same
-draws.
+particle all run the same equation; only the inflow a differs: the routed
+mass plus theta/N in a system, none on an excursion or a single island
+(0 absorbs), the mean E M_t in the mean field.  The batch engines
+(`single_batch_stats`, `virgin_island.sample_tree_stats`, the exact branch
+of the mean-field solver) and both system ops take every such step through
+`_step`, which draws nothing for absorbed components; the level split alone
+calls `_exact_inflow_substep` on every component.  The object-level
+single-island ops (`simulate_single`, the excursions of `build_tree`) use
+the scalar loop `_single_path`, about 7x cheaper per step than the vector
+step on 1-element arrays; its exact branch is `_exact_inflow_substep` with
+inflow 0 in scalar form, consuming the same draws.
 
 Island systems.  One op, `simulate_system`, runs a system under uniform
 (island count) or matrix migration with immigration theta/N in three modes:
@@ -36,15 +38,16 @@ hierarchy between the system and the tree).  `sample_system_stats` streams
 replicates of the same modes; both take every step through `_system_step`.
 
 Noise layout.  Object-level ops (those returning a Path, SystemPath or
-LevelSystemPath) draw one noise stream per island (and per level), keyed by
-(seed, purpose, island, level).  Adding an island or raising the level cap
-therefore never perturbs the noise any existing component sees.
-`simulate_single` takes all its draws from the one stream (seed, SINGLE, 0).
-Object-level ops refuse (ConfigError) a stored path over 256 MB.  The batch
-Monte Carlo engines trade that for throughput: replicates are processed in
-fixed-size chunks, each chunk fed by its own (seed, tag, chunk) stream, so
-results are reproducible and independent of worker count but not invariant
-to the chunk size (a documented constant).
+LevelSystemPath) draw from one stream: (seed, SINGLE, 0) for
+`simulate_single`, (seed, mode purpose) for `simulate_system`.  A system
+path's draws are therefore not keyed by island: adding an island or raising
+the level cap changes the noise every component sees.  Per-island keys
+would need a per-component scalar loop, a third copy of the step, and no
+caller relies on them.  Object-level ops refuse (ConfigError) a stored path
+over 256 MB.  The batch Monte Carlo engines trade that for throughput:
+replicates are processed in fixed-size chunks, each chunk fed by its own
+(seed, tag, chunk) stream, so results are reproducible and independent of
+worker count but not invariant to the chunk size (a documented constant).
 """
 
 from __future__ import annotations
@@ -207,14 +210,8 @@ class MigrationMatrix:
 
 
 # ---------------------------------------------------------------------------
-# noise layout for object-level ops
+# input checks
 # ---------------------------------------------------------------------------
-
-def _noise_columns(seed: int, purpose: int, n_steps: int, keys) -> np.ndarray:
-    """Stack per-key streams into columns: shape (n_steps, len(keys))."""
-    cols = [rngmod.substream(seed, purpose, *k).standard_normal(n_steps) for k in keys]
-    return np.stack(cols, axis=1) if cols else np.empty((n_steps, 0))
-
 
 def _check_x0(spec: CoefficientSpec, x0) -> None:
     if not spec.domain.contains(x0):
@@ -222,7 +219,7 @@ def _check_x0(spec: CoefficientSpec, x0) -> None:
 
 
 def _check_boundary(boundary: str) -> None:
-    """Reject a boundary mode the single-island ops do not know."""
+    """Reject a boundary mode of the single-island, tree and mean-field ops."""
     if boundary not in ("exact", "bridge", "clip"):
         raise ConfigError("boundary must be 'exact', 'bridge' or 'clip'")
 
@@ -245,7 +242,7 @@ _SYSTEM_PURPOSE = {"unsplit": rngmod.SYSTEM, "levels": rngmod.LEVELS,
 
 def _check_system(spec: CoefficientSpec, topology, theta: float, x0,
                   mode: str, k_max: int):
-    """Validate system inputs; return (N, x0 as an array, level cap or None)."""
+    """Validate system inputs; return (x0 as an array, level cap or None)."""
     N = topology.n_islands if isinstance(topology, MigrationMatrix) \
         else int(topology)
     if N < 1:
@@ -260,7 +257,7 @@ def _check_system(spec: CoefficientSpec, topology, theta: float, x0,
     if x0.shape != (N,):
         raise ConfigError("x0 must have one entry per island")
     _check_x0(spec, x0)
-    return N, x0, (None if mode == "unsplit" else int(k_max))
+    return x0, (None if mode == "unsplit" else int(k_max))
 
 
 def _start_state(x0: np.ndarray, lead: tuple, k_max: int | None) -> np.ndarray:
@@ -300,63 +297,35 @@ def _system_inflow(topology, theta: float, v: np.ndarray, split: bool):
     return inflow, float(top.sum()) * (N / top.shape[-1])
 
 
-def _level_coeffs(spec: CoefficientSpec, v: np.ndarray):
-    """Reaction drift and squared diffusion for a level-decomposed state.
-
-    v has shape (..., levels, islands).  Each level's coefficients are the
-    total-mass coefficients shared out proportionally:
-        drift_k = (v_k / tot) mu(tot),  diff2_k = (v_k / tot) sigma2(tot),
-    extended by 0 where the island total vanishes.
-    """
-    tot = v.sum(axis=-2, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(tot > 0.0, v / np.where(tot > 0.0, tot, 1.0), 0.0)
-    return frac * spec.mu(tot), frac * spec.sigma2(tot)
-
-
 def _euler(v, inflow, drift, diff2, noise, dt: float) -> np.ndarray:
     """Euler step v + (inflow - v + drift) dt + sqrt(diff2 dt) noise."""
     return v + (inflow - v + drift) * dt + np.sqrt(diff2 * dt) * noise
 
 
-def _euler_clip(v, inflow, drift, diff2, noise, dt: float,
-                upper: float) -> np.ndarray:
-    """Truncated Euler step, clamped back into [0, upper]."""
-    return np.clip(_euler(v, inflow, drift, diff2, noise, dt), 0.0, upper)
-
-
 def _system_step(spec: CoefficientSpec, topology, theta: float, v: np.ndarray,
-                 mode: str, boundary: str, dt: float, gen, noise=None):
-    """One step of a system state; returns (new state, rate out of the cap).
+                 mode: str, dt: float, gen):
+    """One exact system step; returns (new state, rate out of the cap).
 
-    "clip" is truncated Euler on the given noise (drawn from gen if None).
-    "exact" uses the inflow-aware local kernel on every component for
-    "levels" (its proportional coefficient sharing matches the linear-ratio
-    form the kernel freezes), `_step` with the inflow for the other modes.
-    Levels are clamped one by one, so on a bounded domain their sum can pass
-    `upper` (and Wright-Fisher sigma2(sum) turn negative); such an island's
-    levels are scaled by upper / sum, the others multiplied by exactly 1.
+    "levels" takes the inflow-aware local kernel on every component (its
+    proportional coefficient sharing matches the linear-ratio form the kernel
+    freezes), the other modes `_step` with the inflow.  Levels are capped one
+    by one, so on a bounded domain their sum can pass `upper` (and
+    Wright-Fisher sigma2(sum) turn negative); such an island's levels are
+    scaled by upper / sum, the others multiplied by exactly 1.
     """
     upper = spec.domain.upper
     inflow, lost = _system_inflow(topology, theta, v, mode != "unsplit")
-    if boundary == "clip":
-        drift, diff2 = _level_coeffs(spec, v) if mode == "levels" \
-            else (spec.mu(v), spec.sigma2(v))
-        if noise is None:
-            noise = gen.standard_normal(v.shape)
-        v = _euler_clip(v, inflow, drift, diff2, noise, dt, upper)
-    elif mode == "levels":
-        tot = v.sum(axis=-2, keepdims=True)
-        v = np.minimum(_exact_inflow_substep(
-            gen, v, inflow, spec.mu_over_x(tot), spec.sigma2_over_x(tot), dt),
-            upper)
-    else:
+    if mode != "levels":
         v, _ = _step(spec, v, dt, gen, "exact", inflow)
-    if mode == "levels":
+        return v, lost
+    tot = v.sum(axis=-2, keepdims=True)
+    v = np.minimum(_exact_inflow_substep(
+        gen, v, inflow, spec.mu_over_x(tot), spec.sigma2_over_x(tot), dt),
+        upper)
+    tot = v.sum(axis=-2, keepdims=True)
+    while (tot > upper).any():  # a rescaled sum can round an ulp high
+        v = v * (upper / np.maximum(tot, upper))
         tot = v.sum(axis=-2, keepdims=True)
-        while (tot > upper).any():  # a rescaled sum can round an ulp high
-            v = v * (upper / np.maximum(tot, upper))
-            tot = v.sum(axis=-2, keepdims=True)
     return v, lost
 
 
@@ -444,24 +413,20 @@ def simulate_system(spec: CoefficientSpec, topology, theta: float, x0,
         terms, so no mass ever returns to the level it came from.
 
     The split modes start with all mass in level 0, keep levels 0..k_max and
-    return a LevelSystemPath.  Steps are truncated Euler; noise is one stream
-    per island, or per (island, level).  Paths are stored whole, so a run
-    needing more than 256 MB for them raises ConfigError up front.
+    return a LevelSystemPath.  Every step is `_system_step`, the exact step
+    of `sample_system_stats`, on draws from the one stream (seed, mode
+    purpose).  Paths are stored whole, so a run needing more than 256 MB for
+    them raises ConfigError up front.
     """
-    N, x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
-    n = grid.n_steps
+    x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
     v = _start_state(x0, (), L)
     _check_storage(grid, v.size)
-    keys = [(i,) for i in range(N)] if L is None else \
-        [(i, k) for k in range(L + 1) for i in range(N)]
-    noise = _noise_columns(seed, _SYSTEM_PURPOSE[mode], n, keys).reshape(
-        (n,) + v.shape)
-    out = np.empty((n + 1,) + v.shape)
+    gen = rngmod.substream(seed, _SYSTEM_PURPOSE[mode])
+    out = np.empty((grid.n_steps + 1,) + v.shape)
     out[0] = v
     dropped = 0.0
-    for k in range(n):
-        v, lost = _system_step(spec, topology, theta, v, mode, "clip", grid.dt,
-                               None, noise[k])
+    for k in range(grid.n_steps):
+        v, lost = _system_step(spec, topology, theta, v, mode, grid.dt, gen)
         dropped += lost * grid.dt
         out[k + 1] = v
     if L is None:
@@ -701,8 +666,7 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
 def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
                         grid: TimeGrid, seed: int, replicates: int,
                         report_nodes, reducers, tag: int,
-                        mode: str = "unsplit", k_max: int = 0,
-                        boundary: str = "exact") -> dict:
+                        mode: str = "unsplit", k_max: int = 0) -> dict:
     """Streaming replicated system simulation with per-report-node reduction.
 
     topology: island count (uniform routing) or MigrationMatrix.
@@ -712,15 +676,10 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
     Modes and routing are those of `simulate_system`.  Returns {name: array
     (distinct report nodes in increasing order, replicates)} plus
     '_dropped_mass' (mean over replicates of the mass lost to the level cap).
-    Replicates run in chunks of SYSTEM_CHUNK, one stream each.
-
-    boundary "exact" (default) steps components below `switch_level` with
-    the inflow-aware local kernel; small masses otherwise pick up a clamp
-    bias that inflates the whole system.  "clip" is plain truncated Euler.
+    Replicates run in chunks of SYSTEM_CHUNK, one stream each, and step by
+    step through `_system_step`, the step `simulate_system` takes.
     """
-    _, x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
-    if boundary not in ("exact", "clip"):
-        raise ConfigError(f"unknown boundary scheme {boundary!r}")
+    x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
     report_nodes = _report_nodes(report_nodes, grid)
     report_set = {node: j for j, node in enumerate(report_nodes)}
     out = {name: np.empty((len(report_nodes), replicates)) for name in reducers}
@@ -734,8 +693,8 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
         v = _start_state(x0, (r,), L)
         for k in range(grid.n_steps + 1):
             if k:
-                v, lost = _system_step(spec, topology, theta, v, mode, boundary,
-                                       grid.dt, gen)
+                v, lost = _system_step(spec, topology, theta, v, mode, grid.dt,
+                                       gen)
                 dropped_total += lost * grid.dt / replicates
             j = report_set.get(k)
             if j is not None:

@@ -93,6 +93,32 @@ def test_simulate_huge_grid_exits_2(tmp_path, capsys, mode):
     assert "too large" in capsys.readouterr().err
 
 
+def test_simulate_single_follows_boundary(tmp_path):
+    paths = {}
+    for boundary in ("exact", "clip"):
+        cfg = write_cfg(tmp_path, f"{boundary}.json", mode="single",
+                        x_init=[0.01], boundary=boundary)
+        out = str(tmp_path / boundary)
+        assert cli_main(["simulate", "--config", cfg, "--out", out]) == 0
+        paths[boundary] = open(os.path.join(out, "simulate.csv")).read()
+    assert paths["exact"] != paths["clip"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "compare"])
+def test_unknown_boundary_exits_2_before_any_engine_runs(tmp_path, capsys,
+                                                         monkeypatch, command):
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the config was checked")
+
+    monkeypatch.setattr("islandsim.experiments.sample_system_stats", engine)
+    monkeypatch.setattr("islandsim.cli.simulate_system", engine)
+    cfg = write_cfg(tmp_path, mode="uniform", topology=3, x_init=[0.2],
+                    boundary="bogus")
+    assert cli_main([command, "--config", cfg,
+                     "--out", str(tmp_path / "b")]) == 2
+    assert "boundary" in capsys.readouterr().err
+
+
 def test_simulate_matrix_mode_applies_theta(tmp_path):
     cfg = write_cfg(tmp_path, mode="matrix", x_init=[0.0, 0.0], theta=1.0,
                     topology={"entries": [[0.5, 0.5], [0.5, 0.5]]})

@@ -421,7 +421,7 @@ def test_loop_free_drops_mass_at_cap():
 
 
 def test_level_sums_stay_in_a_bounded_domain():
-    # each level is clamped on its own, so without the level-sum cap an
+    # each level is capped at 1 on its own, so without the level-sum cap an
     # island's total overshoots 1 and the Wright-Fisher sigma2 turns negative
     spec = CoefficientSpec(SelectionMutation(0.6, 0.2), WrightFisher(),
                            DomainInterval(1.0))
@@ -431,12 +431,11 @@ def test_level_sums_stay_in_a_bounded_domain():
     sums = p.values.sum(axis=1)
     assert not np.isnan(p.values).any() and sums.max() <= 1.0
     red = {"max": lambda b: b.max(axis=1)}
-    for boundary in ("clip", "exact"):
-        res = sample_system_stats(spec, 4, 0.5, x0, g, 3, 70,
-                                  range(g.n_steps + 1), red, tag=1,
-                                  mode="levels", k_max=3, boundary=boundary)
-        assert not np.isnan(res["max"]).any(), boundary
-        assert res["max"].max() <= 1.0, boundary
+    res = sample_system_stats(spec, 4, 0.5, x0, g, 3, 70,
+                              range(g.n_steps + 1), red, tag=1,
+                              mode="levels", k_max=3)
+    assert not np.isnan(res["max"]).any()
+    assert res["max"].max() <= 1.0
 
 
 def test_system_storage_guard_raises_before_allocating():
@@ -509,17 +508,42 @@ def test_level_sum_matches_unsplit_distribution():
 
 
 def test_exact_and_clip_boundaries_agree_away_from_zero():
-    # starting well above 0 for a short horizon the schemes must agree in mean
+    # starting well above 0 for a short horizon the exact engine must agree in
+    # mean with plain truncated Euler, written out here as the reference
+    spec = logistic_spec()
     g = TimeGrid(0.0, 0.25, 2e-3)
     red = {"total": lambda b: b.sum(axis=1)}
-    kw = dict(theta=0.0, x0=np.full(2, 1.0), grid=g, seed=31,
-              replicates=4000, report_nodes=[g.n_steps], reducers=red)
-    ex = sample_system_stats(logistic_spec(), 2, tag=1, boundary="exact", **kw)
-    cl = sample_system_stats(logistic_spec(), 2, tag=2, boundary="clip", **kw)
-    m1, m2 = ex["total"][0].mean(), cl["total"][0].mean()
-    s1 = ex["total"][0].std(ddof=1) / math.sqrt(4000)
-    s2 = cl["total"][0].std(ddof=1) / math.sqrt(4000)
+    ex = sample_system_stats(spec, 2, 0.0, np.full(2, 1.0), g, 31, 4000,
+                             [g.n_steps], red, tag=1)["total"][0]
+    gen = substream(31, 2)
+    v = np.ones((4000, 2))
+    for _ in range(g.n_steps):
+        drift = v.mean(axis=1, keepdims=True) - v + spec.mu(v)
+        v = np.maximum(v + drift * g.dt + np.sqrt(spec.sigma2(v) * g.dt)
+                       * gen.standard_normal(v.shape), 0.0)
+    cl = v.sum(axis=1)
+    m1, m2 = ex.mean(), cl.mean()
+    s1 = ex.std(ddof=1) / math.sqrt(4000)
+    s2 = cl.std(ddof=1) / math.sqrt(4000)
     assert abs(m1 - m2) < 4.0 * (s1 + s2) + 0.01
+
+
+@pytest.mark.parametrize("mode", ["unsplit", "levels", "loop_free"])
+def test_object_level_system_matches_the_batch_engine(mode):
+    # small masses with inflow: a clamped object-level step inflates the
+    # total by 5 to 20 combined SE here; both ops must take the exact step
+    spec = logistic_spec()
+    g = TimeGrid(0.0, 1.0, 1e-2)
+    x0 = np.full(5, 0.05)
+    obj = np.array([simulate_system(spec, 5, 0.5, x0, g, seed=s, mode=mode,
+                                    k_max=3).values[-1].sum()
+                    for s in range(400)])
+    batch = sample_system_stats(spec, 5, 0.5, x0, g, 1, 4000, [g.n_steps],
+                                {"total": lambda b: b.sum(axis=1)}, tag=1,
+                                mode=mode, k_max=3)["total"][0]
+    se = math.hypot(obj.std(ddof=1) / math.sqrt(obj.size),
+                    batch.std(ddof=1) / math.sqrt(batch.size))
+    assert abs(obj.mean() - batch.mean()) < 4.0 * se
 
 
 # -- CSV export -------------------------------------------------------------------
