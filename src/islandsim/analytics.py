@@ -14,11 +14,18 @@ criterion is
 with extinction certain iff Theta <= 1.  h is evaluated through the
 families' mu(x)/x and sigma2(x)/x ratios, which stay finite at 0.
 
-Quadrature policy: scipy's adaptive Gauss-Kronrod does the work; endpoint
-singularities at 0 are integrated in log coordinates below a knee (1e-6),
-and integrals to infinity are truncated adaptively, doubling the horizon
-until three consecutive doublings add less than 1e-2 * abs_tol (a clearly
-divergent tail raises DivergenceError instead).
+Quadrature policy: one in-module global adaptive Gauss-Kronrod rule,
+QUADPACK's qag with the 21-point Kronrod / 10-point Gauss pair of qk21 and
+its error estimate (Piessens et al., QUADPACK, Springer 1983).  Breakpoints
+of piecewise coefficients start the panels; the worst panel is bisected
+until the summed error estimate meets QuadratureConfig's tolerances or there
+are 200 panels.  Integrands take the nodes of a panel as one array.  The
+slice below a knee (1e-6) is integrated in u = log y: on (-inf, log knee]
+through qagi's map u = log knee - (1 - t)/t when the integrand is finite at
+0, down to the smallest normal float plus a power-law tail when it is not.
+Integrals to infinity are truncated adaptively, doubling the horizon until
+three consecutive doublings add less than 1e-2 * abs_tol (a clearly
+divergent tail raises DivergenceError instead).  No scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .coefficients import CoefficientSpec
 from .exceptions import DivergenceError, DomainError, RegimeError, SolverError
@@ -64,16 +70,82 @@ class QuadratureConfig:
 
 _DEFAULT_Q = QuadratureConfig()
 
+# QUADPACK's qk21 rule: the 21-point Kronrod nodes on [-1, 1] and their
+# weights; the 10-point Gauss rule uses every other node (XGK[1], XGK[3], ...).
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208931966773, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_W_K = np.array(_WGK[:-1] + _WGK[::-1])
+_W_KG = np.zeros((21, 2))  # columns: the Kronrod and the Gauss weights
+_W_KG[:, 0] = _W_K
+_W_KG[1:10:2, 1], _W_KG[11:20:2, 1] = _WG, _WG[::-1]
+_EPS50 = 50.0 * sys.float_info.epsilon
+_LIMIT = 200  # panels per integral
 
-def _quad(f, a, b, q: QuadratureConfig, points=None):
-    if points:
-        pts = sorted(p for p in points if a < p < b)
-        if pts and math.isfinite(a) and math.isfinite(b):
-            val, _ = integrate.quad(f, a, b, epsabs=q.abs_tol, epsrel=q.rel_tol,
-                                    limit=200, points=pts)
-            return val
-    val, _ = integrate.quad(f, a, b, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=200)
-    return val
+
+def _gk21(f, lo, hi):
+    """QUADPACK's qk21 on the panels [lo_i, hi_i]: integrals and error estimates.
+
+    f gets the 21 nodes of every panel in one array.
+    """
+    half = [0.5 * (b - a) for a, b in zip(lo, hi)]
+    x = np.multiply.outer(half, _NODES)
+    x += np.array([0.5 * (a + b) for a, b in zip(lo, hi)])[:, None]
+    fv = np.empty(x.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # _quad returns inf/nan
+        fv[:] = f(x.ravel())
+        fv.shape = x.shape
+        kg = fv @ _W_KG
+        asc = np.abs(fv - 0.5 * kg[:, :1]) @ _W_K
+    mass = np.abs(fv) @ _W_K
+    vals, errs = [], []
+    for (k, g), s, m, hl in zip(kg.tolist(), asc.tolist(), mass.tolist(), half):
+        err, s = abs((k - g) * hl), s * hl
+        if s != 0.0 and err != 0.0:
+            err = s * min(1.0, (200.0 * err / s) ** 1.5)
+        vals.append(k * hl)
+        errs.append(max(err, _EPS50 * m * hl))
+    return vals, errs
+
+
+def _quad(f, a, b, q: QuadratureConfig, points=()):
+    """int_a^b f by global adaptive Gauss-Kronrod (QUADPACK's qag with qk21).
+
+    f maps an array of nodes to an array of values.  The breakpoints inside
+    (a, b) start the panels; the panel with the largest error estimate is
+    bisected until the summed estimate meets q's tolerances or there are
+    _LIMIT panels.  A non-finite panel value is returned at once.
+    """
+    if b < a:
+        return -_quad(f, b, a, q, points)
+    edges = [a, *sorted(p for p in points if a < p < b), b]
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _gk21(f, lo, hi)
+    while True:
+        total = sum(val)
+        if (not math.isfinite(total) or len(val) >= _LIMIT
+                or sum(err) <= max(q.abs_tol, q.rel_tol * abs(total))):
+            return total
+        i = err.index(max(err))
+        mid = 0.5 * (lo[i] + hi[i])
+        if not lo[i] < mid < hi[i]:  # the panel is down to float resolution
+            return total
+        v2, e2 = _gk21(f, [lo[i], mid], [mid, hi[i]])
+        lo[i:i + 1], hi[i:i + 1] = [lo[i], mid], [mid, hi[i]]
+        val[i:i + 1], err[i:i + 1] = v2, e2
 
 
 def _div(a: float, b: float) -> float:
@@ -87,25 +159,28 @@ _U_FLOOR = math.log(sys.float_info.min)  # e^u is a normal float above this
 def _log_slice(f, knee: float, q: QuadratureConfig) -> float:
     """int_0^knee f(y) dy in u = log y (inf if it diverges at 0).
 
-    g(u) = f(e^u) e^u vanishes where e^u underflows if f is finite at 0.  If
-    f is singular there (inf or nan), the quadrature stops at _U_FLOOR and
-    adds the tail g0/p of the power law g0 e^{p (u - _U_FLOOR)} through g at
-    _U_FLOOR and _U_FLOOR + 1; a rate p <= 1e-9 is not integrable.
+    g(u) = f(e^u) e^u vanishes where e^u underflows if f is finite at 0; then
+    QUADPACK qagi's map u = log(knee) - (1 - t)/t takes t in (0, 1] onto
+    (-inf, log knee].  If f is singular at 0 (inf or nan), the quadrature
+    stops at _U_FLOOR and adds the tail g0/p of the power law
+    g0 e^{p (u - _U_FLOOR)} through g at _U_FLOOR and _U_FLOOR + 1; a rate
+    p <= 1e-9 is not integrable.
     """
-    def g(u: float) -> float:
-        y = math.exp(u)
+    def g(u):
+        y = np.exp(u)
         return f(y) * y
 
-    if math.isfinite(f(0.0)):
-        return _quad(g, -np.inf, math.log(knee), q)
-    g0, g1 = g(_U_FLOOR), g(_U_FLOOR + 1.0)
+    top = math.log(knee)
+    if np.isfinite(f(np.zeros(1))).all():
+        return _quad(lambda t: g(top - (1.0 - t) / t) / (t * t), 0.0, 1.0, q)
+    g0, g1 = g(np.array([_U_FLOOR, _U_FLOOR + 1.0])).tolist()
     if g0 != 0.0 and not (math.isfinite(g0) and g1 / g0 > math.exp(1e-9)):
         return math.inf
     tail = g0 / math.log(g1 / g0) if g0 != 0.0 else 0.0
-    return tail + _quad(g, _U_FLOOR, math.log(knee), q)
+    return tail + _quad(g, _U_FLOOR, top, q)
 
 
-def _integrate_zero_singular(f, b: float, q: QuadratureConfig, points=None) -> float:
+def _integrate_zero_singular(f, b: float, q: QuadratureConfig, points=()) -> float:
     """int_0^b f (b may be inf) for integrands with a singularity at 0.
 
     The slice below the knee is taken in u = log x (see `_log_slice`).
@@ -119,14 +194,14 @@ def _integrate_zero_singular(f, b: float, q: QuadratureConfig, points=None) -> f
     return low + _quad(f, knee, b, q, points=points)
 
 
-def _integrate_to_inf(f, a: float, q: QuadratureConfig, points=None) -> float:
-    """int_a^inf f by adaptive horizon doubling."""
+def _integrate_to_inf(f, a: float, q: QuadratureConfig, points=()) -> float:
+    """int_a^inf f by adaptive horizon doubling; every segment gets the breakpoints."""
     t0 = max(2.0 * abs(a), 1.0)
     total = _quad(f, a, t0, q, points=points)
     small, grow, prev = 0, 0, math.inf
     t = t0
     for _ in range(q.max_doublings):
-        seg = _quad(f, t, 2.0 * t, q)
+        seg = _quad(f, t, 2.0 * t, q, points=points)
         if not math.isfinite(seg):
             raise DivergenceError("tail integral is not finite")
         total += seg
@@ -155,9 +230,9 @@ def _breakpoints(spec: CoefficientSpec):
 
 
 def _h(spec: CoefficientSpec):
-    def h(x: float) -> float:
-        return _div(2.0 * (float(spec.mu_over_x(x)) - 1.0),
-                    float(spec.sigma2_over_x(x)))
+    def h(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 2.0 * (spec.mu_over_x(x) - 1.0) / spec.sigma2_over_x(x)
     return h
 
 
@@ -196,8 +271,8 @@ def scale_function(spec: CoefficientSpec, y: float,
     _check_in_domain(spec, y, "y")
     if y == 0.0:
         return 0.0
-    val = _quad(lambda z: scale_density(spec, z, q), 0.0, y, q,
-                points=_breakpoints(spec))
+    val = _quad(lambda zs: [scale_density(spec, z, q) for z in zs.tolist()],
+                0.0, y, q, points=_breakpoints(spec))
     if not math.isfinite(val):
         raise DivergenceError("scale function is not finite")
     return val
@@ -217,8 +292,9 @@ def speed_mass(spec: CoefficientSpec, a: float, b: float,
     if a == b:
         return 0.0
 
-    def integrand(y: float) -> float:
-        return _div(2.0 * math.exp(_H(spec, y, q)), float(spec.sigma2(y)))
+    def integrand(ys):
+        return [_div(2.0 * math.exp(_H(spec, y, q)), float(spec.sigma2(y)))
+                for y in ys.tolist()]
 
     if a > 0.0:
         return _quad(integrand, a, b, q, points=_breakpoints(spec))
@@ -234,9 +310,9 @@ def extinction_criterion(spec: CoefficientSpec,
                          q: QuadratureConfig = _DEFAULT_Q) -> float:
     """Theta = int_0^upper (2 y / sigma2(y)) exp(H(y)) dy."""
 
-    def integrand(y: float) -> float:
-        H = _H(spec, y, q)
-        return _div(2.0, float(spec.sigma2_over_x(y))) * math.exp(min(H, 700.0))
+    def integrand(ys):
+        return [_div(2.0, float(spec.sigma2_over_x(y)))
+                * math.exp(min(_H(spec, y, q), 700.0)) for y in ys.tolist()]
 
     val = _integrate_zero_singular(integrand, spec.domain.upper, q,
                                    points=_breakpoints(spec))
@@ -260,8 +336,8 @@ def logistic_criterion(gamma: float, K: float, beta: float,
     if gamma <= 0 or K <= 0 or beta <= 0:
         raise DomainError("gamma, K, beta must be positive")
 
-    def f(x: float) -> float:
-        return math.exp(K * gamma * x - 0.5 * gamma * beta * x * x - x)
+    def f(x):
+        return np.exp(K * gamma * x - 0.5 * gamma * beta * x * x - x)
 
     return _integrate_to_inf(f, 0.0, q)
 
@@ -277,8 +353,8 @@ def _rho_residual(rho: float, gamma: float, K: float, beta: float,
     c = 0.5 * gamma / beta
     p = rho / beta
 
-    def f(y: float) -> float:
-        return y**p * (K - y) * math.exp(a * y - c * y * y)
+    def f(y):
+        return y**p * (K - y) * np.exp(a * y - c * y * y)
 
     return _integrate_to_inf(f, 0.0, q, points=[K])
 

@@ -3,7 +3,7 @@
 Anchor values come from closed forms derived independently of the code under
 test (scale densities with elementary antiderivatives, exponential-integral
 identities, the e-2 value for selection-mutation on [0,1]) or from scipy
-routines exercised in a different way than the implementation uses them.
+routines, which the implementation does not use.
 """
 
 import math
@@ -15,12 +15,14 @@ from scipy.special import exp1
 
 from islandsim import (
     CoefficientSpec,
+    CustomDrift,
     DivergenceError,
     DomainError,
     DomainInterval,
     LinearDiffusion,
     LinearDrift,
     Logistic,
+    PiecewisePolynomial,
     RegimeError,
     SelectionMutation,
     WrightFisher,
@@ -36,7 +38,8 @@ from islandsim import (
     solve_rho,
     speed_mass,
 )
-from islandsim.analytics import _log_gamma_rho_unnorm
+from islandsim.analytics import (_DEFAULT_Q, _log_gamma_rho_unnorm, _log_slice,
+                                 _quad)
 
 
 def feller():
@@ -157,6 +160,23 @@ def test_criterion_selection_mutation_wright_fisher():
     assert extinction_criterion(spec) == pytest.approx(math.e - 2.0, abs=1e-6)
 
 
+def test_criterion_sees_a_kink_past_the_first_tail_segment():
+    # mu = x/2 below 3 and 3 - x/2 above: h = mu/x - 1 kinks at 3, inside
+    # the doubling segment [2, 4], and the integrand e^H is piecewise smooth
+    spec = CoefficientSpec(
+        CustomDrift(PiecewisePolynomial((0.0, 3.0), ((0.0, 0.5), (3.0, -0.5)))),
+        LinearDiffusion(1.0), DomainInterval())
+
+    def integrand(y):
+        if y <= 3.0:
+            return math.exp(-0.5 * y)
+        return math.exp(-1.5 + 3.0 * math.log(y / 3.0) - 1.5 * (y - 3.0))
+
+    ref = integrate.quad(integrand, 0.0, 3.0)[0] \
+        + integrate.quad(integrand, 3.0, np.inf)[0]
+    assert extinction_criterion(spec) == pytest.approx(ref, rel=1e-8)
+
+
 def test_criterion_divergent_case_raises():
     # mu(x)=x cancels the pull to 0: m(dy)=dy/y, Theta integral diverges
     spec = CoefficientSpec(LinearDrift(1.0), LinearDiffusion(1.0),
@@ -236,3 +256,51 @@ def test_solve_rho_requires_survival_regime():
     assert logistic_criterion(1.0, 1.0, 2.0) < 1.0
     with pytest.raises(RegimeError):
         solve_rho(1.0, 1.0, 2.0)
+
+
+# -- the quadrature rule ---------------------------------------------------------
+
+def _vectorized(f):
+    return lambda x: np.array([f(v) for v in np.asarray(x).tolist()])
+
+
+def _close_to_quadpack(value, ref):
+    q = _DEFAULT_Q
+    assert abs(value - ref) <= 10.0 * max(q.abs_tol, q.rel_tol * abs(ref))
+
+
+def _kink(x):
+    return abs(x - 0.3) ** 1.5 + math.sin(x)
+
+
+@pytest.mark.parametrize("f, a, b, points", [
+    (lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, 2.5, ()),
+    (_kink, 0.0, 1.0, (0.3,)),
+    (lambda x: math.exp(-x), 2.0, -1.0, ()),
+    (lambda x: math.exp(5.0 * x - 1.5 * x * x), 4.0, 8.0, ()),
+], ids=["smooth", "kink", "reversed", "tail"])
+def test_quad_matches_quadpack(f, a, b, points):
+    ref = integrate.quad(f, a, b, points=points or None, limit=200)[0]
+    _close_to_quadpack(_quad(_vectorized(f), a, b, _DEFAULT_Q, points), ref)
+
+
+@pytest.mark.parametrize("f", [
+    lambda y: math.exp(-y) * (1.0 + y),
+    lambda y: y ** -0.5 if y else math.inf,
+], ids=["finite_at_0", "singular_at_0"])
+def test_log_slice_matches_quadpack(f):
+    knee = 0.5
+    ref = integrate.quad(f, 0.0, knee, limit=200)[0]
+    _close_to_quadpack(_log_slice(_vectorized(f), knee, _DEFAULT_Q), ref)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_quad_returns_a_non_finite_panel_at_once(bad):
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.where(x > 0.5, bad, 1.0)
+
+    assert not math.isfinite(_quad(f, 0.0, 1.0, _DEFAULT_Q))
+    assert calls == [21]

@@ -321,6 +321,39 @@ def test_identities_run_loads_no_scipy_stats(tmp_path):
         float(stats.chi2.ppf(0.99, 4))
 
 
+def test_runs_load_no_scipy_integrate_optimize_or_stats(tmp_path):
+    # the analytics integrate with their own Gauss-Kronrod rule, so the
+    # import and the commands that run quadrature load only scipy.special
+    logistic = write_cfg(tmp_path, "logistic.json")
+    tree = write_cfg(tmp_path, "tree.json", theta=1.0, x_init=[0.5],
+                     bin_edges=[0.1, 0.5, 1.0])
+    feller = tmp_path / "feller.json"
+    feller.write_text(json.dumps({
+        "drift": {"family": "linear", "params": {"c": 0.0}},
+        "diffusion": {"family": "linear", "params": {"beta": 1.0}},
+        "eps": 1e-3, "dt": 1e-2, "horizon": 2.0, "delta": 0.1,
+        "theta": 1.0, "replicates": 200}))
+    code = (
+        "import sys\n"
+        "def heavy():\n"
+        "    return [m for m in sys.modules if m.startswith(\n"
+        "        ('scipy.integrate', 'scipy.optimize', 'scipy.stats'))]\n"
+        "import islandsim\n"
+        "from islandsim.cli import cli_main\n"
+        "assert not heavy(), heavy()\n"
+        f"for cmd, cfg in (('analyze', {logistic!r}),\n"
+        f"                 ('identities', {str(feller)!r}),\n"
+        f"                 ('tree', {tree!r})):\n"
+        f"    out = {str(tmp_path)!r} + '/' + cmd\n"
+        "    assert cli_main([cmd, '--config', cfg, '--out', out]) == 0, cmd\n"
+        "    assert not heavy(), (cmd, heavy())\n")
+    src = os.path.dirname(os.path.dirname(islandsim.__file__))
+    res = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
 # -- exit codes ---------------------------------------------------------------------
 
 def test_unknown_flag_exits_2(tmp_path, capsys):
@@ -369,6 +402,18 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
         "diffusion": {"family": "linear", "params": {"beta": 1.0}},
         "domain": {"upper": "inf"}}))
     assert cli_main(["analyze", "--config", str(cfg)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_overflowing_growth_criterion_exits_3(tmp_path, capsys):
+    # gamma 40, beta 0.01: the survival criterion's integrand
+    # exp(39 x - 0.2 x^2) peaks near e^1900, past the float range
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({
+        "drift": {"family": "logistic", "params": {"gamma": 40.0, "K": 1.0}},
+        "diffusion": {"family": "linear", "params": {"beta": 0.01}}}))
+    assert cli_main(["analyze", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
