@@ -23,9 +23,11 @@ are 200 panels.  Integrands take the nodes of a panel as one array.  The
 slice below a knee (1e-6) is integrated in u = log y: on (-inf, log knee]
 through qagi's map u = log knee - (1 - t)/t when the integrand is finite at
 0, down to the smallest normal float plus a power-law tail when it is not.
-Integrals to infinity are truncated adaptively, doubling the horizon until
-three consecutive doublings add less than 1e-2 * abs_tol (a clearly
-divergent tail raises DivergenceError instead).  No scipy module is loaded.
+An infinite limit of one _quad goes through the same map onto (0, 1].  The
+criterion's and the speed measure's tails are instead truncated adaptively,
+doubling the horizon until three consecutive doublings add less than
+1e-2 * abs_tol (a clearly divergent tail raises DivergenceError).  No scipy
+module is loaded.
 """
 
 from __future__ import annotations
@@ -127,10 +129,16 @@ def _quad(f, a, b, q: QuadratureConfig, points=()):
     f maps an array of nodes to an array of values.  The breakpoints inside
     (a, b) start the panels; the panel with the largest error estimate is
     bisected until the summed estimate meets q's tolerances or there are
-    _LIMIT panels.  A non-finite panel value is returned at once.
+    _LIMIT panels.  A non-finite panel value is returned at once.  An
+    infinite limit (one at most) goes through QUADPACK qagi's map
+    x = c +- (1 - t)/t of t in (0, 1] onto the half-line from the other limit c.
     """
     if b < a:
         return -_quad(f, b, a, q, points)
+    if math.isinf(a) or math.isinf(b):
+        c, sgn = (b, -1.0) if math.isinf(a) else (a, 1.0)
+        return _quad(lambda t: f(c + sgn * (1.0 - t) / t) / (t * t), 0.0, 1.0, q,
+                     [1.0 / (1.0 + abs(p - c)) for p in points if a < p < b])
     edges = [a, *sorted(p for p in points if a < p < b), b]
     lo, hi = edges[:-1], edges[1:]
     val, err = _gk21(f, lo, hi)
@@ -160,8 +168,8 @@ def _log_slice(f, knee: float, q: QuadratureConfig) -> float:
     """int_0^knee f(y) dy in u = log y (inf if it diverges at 0).
 
     g(u) = f(e^u) e^u vanishes where e^u underflows if f is finite at 0; then
-    QUADPACK qagi's map u = log(knee) - (1 - t)/t takes t in (0, 1] onto
-    (-inf, log knee].  If f is singular at 0 (inf or nan), the quadrature
+    _quad maps t in (0, 1] onto (-inf, log knee] by u = log knee - (1 - t)/t,
+    qagi's map.  If f is singular at 0 (inf or nan), the quadrature
     stops at _U_FLOOR and adds the tail g0/p of the power law
     g0 e^{p (u - _U_FLOOR)} through g at _U_FLOOR and _U_FLOOR + 1; a rate
     p <= 1e-9 is not integrable.
@@ -172,7 +180,7 @@ def _log_slice(f, knee: float, q: QuadratureConfig) -> float:
 
     top = math.log(knee)
     if np.isfinite(f(np.zeros(1))).all():
-        return _quad(lambda t: g(top - (1.0 - t) / t) / (t * t), 0.0, 1.0, q)
+        return _quad(g, -math.inf, top, q)
     g0, g1 = g(np.array([_U_FLOOR, _U_FLOOR + 1.0])).tolist()
     if g0 != 0.0 and not (math.isfinite(g0) and g1 / g0 > math.exp(1e-9)):
         return math.inf
@@ -348,7 +356,11 @@ def logistic_criterion(gamma: float, K: float, beta: float,
 
 def _rho_residual(rho: float, gamma: float, K: float, beta: float,
                   q: QuadratureConfig) -> float:
-    """int_0^inf y^{rho/beta} (K - y) exp(((gamma K - 1) y - gamma y^2 / 2)/beta) dy."""
+    """int_0^inf y^{rho/beta} (K - y) exp(((gamma K - 1) y - gamma y^2 / 2)/beta) dy.
+
+    The y^{rho/beta} endpoint is smooth in u = log y, so (0, 1] is a log
+    slice; the Gaussian tail past 1 goes through qagi's map in one _quad.
+    """
     a = (gamma * K - 1.0) / beta
     c = 0.5 * gamma / beta
     p = rho / beta
@@ -356,7 +368,10 @@ def _rho_residual(rho: float, gamma: float, K: float, beta: float,
     def f(y):
         return y**p * (K - y) * np.exp(a * y - c * y * y)
 
-    return _integrate_to_inf(f, 0.0, q, points=[K])
+    val = _log_slice(f, 1.0, q) + _quad(f, 1.0, math.inf, q, points=[K])
+    if not math.isfinite(val):
+        raise DivergenceError("growth-rate residual is not finite")
+    return val
 
 
 def _log_gamma_rho_unnorm(x: np.ndarray, rho: float, gamma: float, K: float,

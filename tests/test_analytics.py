@@ -38,6 +38,7 @@ from islandsim import (
     solve_rho,
     speed_mass,
 )
+from islandsim import analytics
 from islandsim.analytics import (_DEFAULT_Q, _log_gamma_rho_unnorm, _log_slice,
                                  _quad)
 
@@ -84,6 +85,16 @@ def test_scale_function_closed_forms_and_slope():
         1.0, abs=1e-5)
 
 
+def test_scale_function_to_infinity():
+    # c = 2: s(z) = e^{-z/beta}, so S(inf) = beta; Feller's s(z) = e^z is not
+    # integrable
+    spec = CoefficientSpec(LinearDrift(2.0), LinearDiffusion(0.7),
+                           DomainInterval())
+    assert scale_function(spec, math.inf) == pytest.approx(0.7, rel=1e-8)
+    with pytest.raises(DivergenceError):
+        scale_function(feller(), math.inf)
+
+
 def test_scale_function_increasing():
     spec = logistic_spec()
     ys = [0.2, 0.5, 1.0, 2.0]
@@ -105,6 +116,16 @@ def test_speed_mass_exponential_integral_oracle():
     for a, b in ((0.5, 1.0), (1.0, 2.0), (0.1, 4.0)):
         assert speed_mass(spec, a, b) == pytest.approx(
             float(exp1(a) - exp1(b)), rel=1e-7)
+
+
+def test_speed_mass_to_infinity():
+    assert speed_mass(feller(), 1.0, math.inf) == pytest.approx(
+        float(exp1(1.0)), rel=1e-8)
+    # logistic (1, 1) with beta 1: m(dy) = e^{-y^2/2} / y dy
+    ref = integrate.quad(lambda y: math.exp(-0.5 * y * y) / y, 0.2, np.inf)[0]
+    assert speed_mass(logistic_spec(), 0.2, math.inf) == pytest.approx(
+        ref, rel=1e-8)
+    assert math.isinf(speed_mass(logistic_spec(), 0.0, math.inf))
 
 
 def test_speed_mass_additive_and_empty():
@@ -160,7 +181,7 @@ def test_criterion_selection_mutation_wright_fisher():
     assert extinction_criterion(spec) == pytest.approx(math.e - 2.0, abs=1e-6)
 
 
-def test_criterion_sees_a_kink_past_the_first_tail_segment():
+def test_criterion_sees_a_kink_past_the_first_tail_segment(monkeypatch):
     # mu = x/2 below 3 and 3 - x/2 above: h = mu/x - 1 kinks at 3, inside
     # the doubling segment [2, 4], and the integrand e^H is piecewise smooth
     spec = CoefficientSpec(
@@ -174,7 +195,16 @@ def test_criterion_sees_a_kink_past_the_first_tail_segment():
 
     ref = integrate.quad(integrand, 0.0, 3.0)[0] \
         + integrate.quad(integrand, 3.0, np.inf)[0]
+    straddling = []
+
+    def gk21(f, lo, hi):
+        straddling.extend((a, b) for a, b in zip(lo, hi) if a < 3.0 < b)
+        return gk21_plain(f, lo, hi)
+
+    gk21_plain = analytics._gk21
+    monkeypatch.setattr(analytics, "_gk21", gk21)
     assert extinction_criterion(spec) == pytest.approx(ref, rel=1e-8)
+    assert straddling == []  # the kink is a panel edge on every segment
 
 
 def test_criterion_divergent_case_raises():
@@ -281,6 +311,23 @@ def _kink(x):
 ], ids=["smooth", "kink", "reversed", "tail"])
 def test_quad_matches_quadpack(f, a, b, points):
     ref = integrate.quad(f, a, b, points=points or None, limit=200)[0]
+    _close_to_quadpack(_quad(_vectorized(f), a, b, _DEFAULT_Q, points), ref)
+
+
+@pytest.mark.parametrize("f, a, b, points", [
+    (lambda x: 1.0 / (1.0 + x * x), 0.5, math.inf, ()),
+    (lambda x: math.exp(-abs(x - 2.0)) / (1.0 + x), 0.0, math.inf, (2.0,)),
+    (lambda x: math.exp(-x * x) * math.cos(x), -math.inf, 0.3, ()),
+    (lambda x: math.exp(-x * x), math.inf, 0.3, ()),
+], ids=["upper_inf", "upper_inf_kink", "lower_inf", "reversed_inf"])
+def test_quad_infinite_limits_match_quadpack(f, a, b, points):
+    # QUADPACK takes no breakpoints on an infinite range: split at them
+    lo, hi = min(a, b), max(a, b)
+    edges = [lo, *points, hi]
+    ref = sum(integrate.quad(f, u, v, limit=200)[0]
+              for u, v in zip(edges, edges[1:]))
+    if b < a:
+        ref = -ref
     _close_to_quadpack(_quad(_vectorized(f), a, b, _DEFAULT_Q, points), ref)
 
 
