@@ -77,21 +77,51 @@ def _topology_from(raw):
     raise ConfigError("topology must be an island count or {'entries': [[...]]}")
 
 
+# JSON types of the ExperimentConfig keys a config may set (boundary and
+# duality_points are checked later); JSON null leaves a key at its default
+_KEY_TYPES = {
+    **dict.fromkeys("theta tree_dt eval_time eps diag_fraction".split(),
+                    "a number"),
+    **dict.fromkeys("generation_cap n_part mv_replicates k_max".split(),
+                    "an integer"),
+    **dict.fromkeys("x_init n_ladder tent_support bin_edges y_grid".split(),
+                    "a list of numbers"),
+    "boundary": None, "duality_points": None}
+
+
+def _has_type(value, kind: str) -> bool:
+    if kind == "a list of numbers":
+        return isinstance(value, list) and all(_has_type(v, "a number")
+                                               for v in value)
+    return not isinstance(value, bool) and isinstance(
+        value, int if kind == "an integer" else (int, float))
+
+
+def _scalar(raw: dict, key: str, kind, default):
+    """raw[key] (or default) converted by kind; a bad value names the key."""
+    value = raw.get(key)
+    try:
+        return default if value is None else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _experiment_config(raw: dict, spec, args) -> ExperimentConfig:
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    dt = args.dt if args.dt is not None else float(raw.get("dt", 1e-3))
-    delta = args.delta if args.delta is not None else float(raw.get("delta", 0.05))
+    seed = args.seed if args.seed is not None else _scalar(raw, "seed", int, 0)
+    dt = args.dt if args.dt is not None else _scalar(raw, "dt", float, 1e-3)
+    delta = args.delta if args.delta is not None \
+        else _scalar(raw, "delta", float, 0.05)
     replicates = args.replicates if args.replicates is not None \
-        else int(raw.get("replicates", 1000))
-    horizon = float(raw.get("horizon", 1.0))
+        else _scalar(raw, "replicates", int, 1000)
+    horizon = _scalar(raw, "horizon", float, 1.0)
     kwargs = {}
-    for key in ("theta", "x_init", "tree_dt", "boundary", "generation_cap",
-                "n_ladder", "tent_support", "eval_time", "eps", "bin_edges",
-                "n_part", "mv_replicates", "duality_points", "diag_fraction",
-                "k_max", "y_grid"):
-        if key in raw:
-            kwargs[key] = tuple(raw[key]) if isinstance(raw[key], list) \
-                else raw[key]
+    for key, kind in _KEY_TYPES.items():
+        value = raw.get(key)
+        if value is None:
+            continue
+        if kind and not _has_type(value, kind):
+            raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     if "duality_points" in kwargs:
         kwargs["duality_points"] = tuple(
             tuple(p) for p in raw["duality_points"])
@@ -162,21 +192,20 @@ def _cmd_tree(raw, spec, args) -> int:
     tree = build_tree(spec, cfg.x_init, cfg.theta, cfg.grid.horizon,
                       cfg.delta, cfg.grid, cfg.seed,
                       generation_cap=cfg.generation_cap,
-                      boundary=cfg.boundary)
+                      boundary=cfg.boundary, spectrum_time=cfg.eval_time)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "tree.csv")
     export_tree_csv(tree, csv_path)
     extras = {}
     if "bin_edges" in raw:
-        t_snap = cfg.eval_time if cfg.eval_time is not None else cfg.grid.horizon
-        snap_t = tree.spectrum(t_snap, cfg.bin_edges)
-        export_spectrum_csv(snap_t, os.path.join(args.out, "spectrum.csv"))
+        export_spectrum_csv(tree.spectrum(cfg.bin_edges),
+                            os.path.join(args.out, "spectrum.csv"))
         extras["spectrum_csv"] = "spectrum.csv"  # next to tree.json
     ExperimentReport("tree", cfg.seed, snapshot_config(cfg), (), [],
-                     {"islands": len(tree.islands),
-                      "censored": tree.censored_count,
+                     {"islands": tree.parent.size,
+                      "censored": int(np.count_nonzero(tree.death < 0)),
                       "dropped_births": tree.dropped_births,
-                      "total_mass_at_horizon": tree.total_mass(cfg.grid.horizon),
+                      "total_mass_at_horizon": float(tree.totals[-1]),
                       **extras}).write_json(args.out)
     print(f"wrote {csv_path}")
     return 0

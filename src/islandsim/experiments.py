@@ -203,10 +203,14 @@ class ExperimentConfig:
             raise ConfigError("replicates must be at least 100")
         if not 0.0 < self.delta < self.spec.domain.upper:
             raise ConfigError("delta must lie strictly inside the domain")
-        if self.theta < 0.0:
-            raise ConfigError("theta must be nonnegative")
+        if not 0.0 <= self.theta < math.inf:
+            raise ConfigError("theta must be finite and nonnegative")
         _check_boundary(self.boundary)
         self.x_init = tuple(float(x) for x in self.x_init)
+        if not all(0.0 <= x < math.inf for x in self.x_init):
+            raise ConfigError("x_init masses must be finite and nonnegative")
+        if self.eval_time is not None:
+            self.grid.node_of(self.eval_time, "eval_time")
 
     def tree_grid(self) -> TimeGrid:
         if self.tree_dt is None or self.tree_dt == self.grid.dt:

@@ -26,10 +26,10 @@ mass plus theta/N in a system, none on an excursion or a single island
 of the mean-field solver) and both system ops take every such step through
 `_step`, which draws nothing for absorbed components; the level split alone
 calls `_exact_inflow_substep` on every component.  The object-level
-single-island ops (`simulate_single`, the excursions of `build_tree`) use
-the scalar loop `_single_path`, about 7x cheaper per step than the vector
-step on 1-element arrays; its exact branch is `_exact_inflow_substep` with
-inflow 0 in scalar form, consuming the same draws.
+single-island ops (`simulate_single` and `virgin_island.sample_excursion`)
+use the scalar loop `_single_path`, about 7x cheaper per step than the
+vector step on 1-element arrays; its exact branch is `_exact_inflow_substep`
+with inflow 0 in scalar form, consuming the same draws.
 
 Island systems.  One op, `simulate_system`, runs a system under uniform
 (island count) or matrix migration with immigration theta/N in three modes:
@@ -81,6 +81,8 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in (self.t0, self.horizon, self.dt)):
+            raise ConfigError("t0, horizon and dt must be finite")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.horizon <= self.t0:
@@ -98,14 +100,14 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
-    def node_of(self, t: float) -> int:
+    def node_of(self, t: float, name: str = "t") -> int:
         """Nearest node index for t (must lie on the grid within 1e-6 dt)."""
         k = (t - self.t0) / self.dt
-        if abs(k - round(k)) > 1e-6:
-            raise ConfigError(f"t={t} is not on the grid")
+        if not math.isfinite(k) or abs(k - round(k)) > 1e-6:
+            raise ConfigError(f"{name}={t} is not on the grid")
         k = int(round(k))
         if not 0 <= k <= self.n_steps:
-            raise ConfigError(f"t={t} outside the grid")
+            raise ConfigError(f"{name}={t} outside the grid")
         return k
 
 
@@ -147,9 +149,6 @@ class SystemPath:
     @property
     def n_islands(self) -> int:
         return self.values.shape[1]
-
-    def island(self, i: int) -> Path:
-        return Path(self.grid, self.values[:, i])
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ approach from below).  Trees are populated by immigrant excursions (rate
 theta/S(delta)), by root paths started at the initial masses, and by daughter
 excursions born from each island at rate chi_{t-s}/S(delta).
 
-Two constructions are provided: `build_tree` builds one tree as explicit
-Island objects (breadth-first, per-island random streams), and
-`sample_tree_stats` advances many replicate trees on a shared clock as flat
-slot arrays, reducing functionals of the island values at report nodes.
+One engine grows trees: `sample_tree_stats` advances many replicate trees
+on a shared clock as flat slot arrays, reducing functionals of the island
+values at report nodes.  `build_tree` runs one replicate of it with a
+recorder that keeps one record per island (ids in birth order) and the
+total mass at every node.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import numpy as np
 from . import rng as rngmod
 from .analytics import scale_function
 from .coefficients import CoefficientSpec
-from .exceptions import ConfigError, DomainError, SolverError
-from .sde import (Path, TimeGrid, _check_boundary, _report_nodes,
-                  _single_path, _step, single_batch_stats)
+from .exceptions import ConfigError, SolverError
+from .sde import (Path, TimeGrid, _check_boundary, _check_storage,
+                  _report_nodes, _single_path, _step, single_batch_stats)
 
 __all__ = [
-    "Excursion", "Island", "VirginIslandTree", "SpectrumSnapshot",
+    "Excursion", "VirginIslandTree", "SpectrumSnapshot",
     "excursion_mass_above", "sample_excursion", "build_tree",
     "sample_tree_stats", "total_mass_reducer", "bin_count_reducer",
     "export_tree_csv", "export_spectrum_csv",
@@ -50,30 +51,25 @@ def _tree_inputs(spec: CoefficientSpec, x_init, theta: float, delta: float,
                  boundary: str):
     """Check the inputs of a tree engine; return (x_init, 1/S(delta))."""
     x_init = tuple(float(x) for x in x_init)
-    if any(x < 0.0 for x in x_init):
-        raise ConfigError("initial masses must be nonnegative")
-    if theta < 0.0:
-        raise ConfigError("theta must be nonnegative")
+    if not all(0.0 <= x < math.inf for x in x_init):
+        raise ConfigError("initial masses must be finite and nonnegative")
+    if not 0.0 <= theta < math.inf:
+        raise ConfigError("theta must be finite and nonnegative")
     _check_boundary(boundary)
     return x_init, excursion_mass_above(spec, delta)
 
 
 @dataclass
 class Excursion:
-    """One island path born at local time 0 (value delta, or a root mass).
+    """One excursion path from delta at local time 0, trimmed at absorption.
 
-    The stored path is trimmed at the absorption node; the mass is 0 from
-    `extinction_time` on.  `censored` marks paths still alive at their local
-    horizon; `attempts` counts rejection-sampling attempts (1 for direct).
+    `censored` marks paths still alive at the local horizon; `attempts`
+    counts rejection-sampling attempts (1 for direct).
     """
 
     path: Path
     censored: bool = False
     attempts: int = 1
-
-    @property
-    def extinction_time(self) -> float:
-        return math.inf if self.censored else self.path.grid.horizon
 
     @property
     def peak(self) -> float:
@@ -133,97 +129,24 @@ def sample_excursion(spec: CoefficientSpec, delta: float, grid: TimeGrid,
     return Excursion(path=path, censored=censored, attempts=attempts)
 
 
-@dataclass
-class Island:
-    """A colonized island: excursion `exc` grafted at time s."""
-
-    id: int
-    parent_id: int | None
-    generation: int
-    s: float
-    excursion: Excursion
-
-    def value_at(self, t: float) -> float:
-        return self.excursion.value_at(t - self.s)
-
-    @property
-    def peak(self) -> float:
-        return self.excursion.peak
-
-    @property
-    def area(self) -> float:
-        return self.excursion.area
-
-    @property
-    def extinction_time(self) -> float:
-        """Absolute time the island's mass hits 0 (inf when censored)."""
-        return self.s + self.excursion.extinction_time
-
-
-@dataclass
-class SpectrumSnapshot:
-    """Island counts per mass bin at one time; bins exclude 0."""
-
-    time: float
-    edges: np.ndarray
-    counts: np.ndarray
-
-
-@dataclass
-class VirginIslandTree:
-    islands: list
-    theta: float
-    delta: float
-    horizon: float
-    dt: float
-    x_init: tuple
-    censored_count: int = 0
-    dropped_births: int = 0
-
-    def _check_t(self, t: float) -> None:
-        if t < 0.0 or t > self.horizon * (1.0 + 1e-12):
-            raise DomainError("query time outside [0, horizon]")
-
-    def total_mass(self, t: float) -> float:
-        self._check_t(t)
-        return math.fsum(isl.value_at(t) for isl in self.islands)
-
-    def spectrum(self, t: float, edges) -> SpectrumSnapshot:
-        """Island counts per mass bin at time t."""
-        self._check_t(t)
-        edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ConfigError("need at least two bin edges")
-        if not (np.all(np.diff(edges) > 0.0) and edges[0] > 0.0):
-            raise ConfigError(
-                "bin edges must be strictly positive and increasing")
-        counts, _ = np.histogram(
-            np.asarray([isl.value_at(t) for isl in self.islands]), bins=edges)
-        return SpectrumSnapshot(time=t, edges=edges, counts=counts)
-
-
-# memory budget of one tree: the stored path values of `build_tree` (8 bytes
-# each) or the slot arrays of `sample_tree_stats` (replicate id, value,
-# generation: 24 bytes per slot)
+# memory budget of one tree: the slot arrays of `sample_tree_stats`
+# (replicate id, value, generation: 24 bytes per live island) and, in
+# `build_tree`, the island records (id, parent, generation, birth node, peak,
+# area, extinction node: 56 bytes per island)
 SLOT_BUDGET = 2**28
-NODE_BYTES = 8
 SLOT_BYTES = 24
+RECORD_BYTES = 56
 # numpy's Generator.poisson refuses larger means
 POISSON_LAM_MAX = (float(np.iinfo(np.int64).max)
                    - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
 
-def _budget_error(what: str, count: float, unit: str,
-                  nbytes: int) -> SolverError:
+def _slot_error(islands: float, t: float,
+                nbytes: int = SLOT_BYTES) -> SolverError:
     return SolverError(
-        f"{what} would pass {SLOT_BUDGET >> 20} MB ({count:.3g} {unit} at "
-        f"{nbytes} bytes each); raise delta, shorten the horizon or lower "
-        "generation_cap")
-
-
-def _slot_error(slots: float, t: float) -> SolverError:
-    return _budget_error(f"tree slot arrays at t = {t:g}", slots, "islands",
-                         SLOT_BYTES)
+        f"tree at t = {t:g} would pass {SLOT_BUDGET >> 20} MB ({islands:.3g} "
+        f"islands at {nbytes} bytes each); raise delta, shorten the horizon "
+        "or lower generation_cap")
 
 
 def _check_dropped(lam: float, where: str) -> None:
@@ -232,114 +155,6 @@ def _check_dropped(lam: float, where: str) -> None:
         raise SolverError(
             f"dropped births {where} have mean {lam:g}, past the largest "
             "Poisson mean numpy draws; raise delta")
-
-
-def _birth_times(cum: np.ndarray, lam: float, dt: float,
-                 gen: np.random.Generator) -> np.ndarray:
-    """Daughter birth times (local, sorted) for one mother excursion.
-
-    cum is the trapezoid-integrated mother path at its nodes 0, dt, 2 dt, ...
-    The count is Poisson(lam) and the times are drawn by inverse CDF on cum.
-    """
-    total = cum[-1]
-    if total <= 0.0:
-        return np.empty(0)
-    n = int(gen.poisson(lam))
-    if n == 0:
-        return np.empty(0)
-    u = gen.random(n) * total
-    return np.sort(np.interp(u, cum, np.arange(cum.size) * dt))
-
-
-def build_tree(spec: CoefficientSpec, x_init, theta: float, T: float,
-               delta: float, grid: TimeGrid, seed: int,
-               generation_cap: int = 50, method: str = "direct",
-               boundary: str = "exact") -> VirginIslandTree:
-    """Build one virgin-island tree, breadth-first by generation.
-
-    Roots are the nonzero initial masses (paths started there at s=0) plus
-    immigrant excursions (Poisson count with mean theta*T/S(delta), uniform
-    birth times).  Every island spawns daughters at rate chi_{t-s}/S(delta)
-    up to the horizon; births past the generation cap are counted in
-    `dropped_births` instead of being created.  Each island's path is
-    simulated to its local horizon T - s; paths still alive there are counted
-    in `censored_count`.
-
-    The stored path values (NODE_BYTES each) get the SLOT_BUDGET of
-    `sample_tree_stats`.  Every island holds one from its birth on and the
-    rest of its path once simulated.  The tree raises SolverError when they
-    pass it, and before an immigrant or birth draw whose mean alone would.
-    """
-    x_init, inv_mass = _tree_inputs(spec, x_init, theta, delta, boundary)
-    if abs(T - grid.horizon) > 1e-9 * max(1.0, T) or grid.t0 != 0.0:
-        raise ConfigError("grid must start at 0 and span exactly T")
-    dt = grid.dt
-
-    pending = [(None, 0, 0.0, x) for x in x_init if x > 0.0]
-    budget = SLOT_BUDGET // NODE_BYTES
-    room = budget - len(pending)  # path values left in the budget
-
-    def check_room(lam: float) -> None:
-        if not lam <= room:
-            raise _budget_error("tree paths", budget - room + lam, "values",
-                                NODE_BYTES)
-
-    g_imm = rngmod.substream(seed, rngmod.TREE, 0)
-    lam = theta * T * inv_mass
-    check_room(lam)
-    n_imm = int(g_imm.poisson(lam))
-    room -= n_imm
-    for s in np.sort(g_imm.random(n_imm)) * T:
-        pending.append((None, 0, float(s), None))
-
-    islands = []
-    censored_count = 0
-    dropped = 0
-    next_id = 0
-    while pending:
-        next_pending = []
-        for parent_id, generation, s, mass in pending:
-            iid = next_id
-            next_id += 1
-            n_max = max(1, int(math.ceil((T - s) / dt - 1e-9)))
-            if mass is not None:
-                gen_p = rngmod.substream(seed, rngmod.EXCURSION, iid, 0)
-                values, cens = _single_path(spec, mass, dt, n_max, gen_p,
-                                            boundary)
-                exc = Excursion(Path(TimeGrid(0.0, (len(values) - 1) * dt, dt),
-                                     values), censored=cens)
-            else:
-                exc = sample_excursion(spec, delta, TimeGrid(0.0, n_max * dt, dt),
-                                       seed, method=method, boundary=boundary,
-                                       island_key=iid)
-            censored_count += int(exc.censored)
-            isl = Island(id=iid, parent_id=parent_id, generation=generation,
-                         s=s, excursion=exc)
-            islands.append(isl)
-            v = exc.path.values
-            room -= v.size - 1
-            cum = np.concatenate(([0.0],
-                                  np.cumsum(0.5 * (v[:-1] + v[1:]) * dt)))
-            lam = float(cum[-1]) * inv_mass
-            capped = generation >= generation_cap
-            if capped:
-                _check_dropped(lam, f"of island {iid}")
-            check_room(0.0 if capped else lam)
-            g_b = rngmod.substream(seed, rngmod.EXCURSION, iid, 1)
-            births = _birth_times(cum, lam, dt, g_b)
-            births = births[s + births < T]
-            if capped:
-                dropped += births.size
-            else:
-                room -= births.size
-                for tau in births:
-                    next_pending.append((iid, generation + 1, s + float(tau),
-                                         None))
-        pending = next_pending
-    return VirginIslandTree(islands=islands, theta=theta, delta=delta,
-                            horizon=T, dt=dt, x_init=x_init,
-                            censored_count=censored_count,
-                            dropped_births=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +194,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                       grid: TimeGrid, seed: int, replicates: int,
                       report_nodes, reducers, tag: int,
                       generation_cap: int = 50,
-                      boundary: str = "exact") -> dict:
+                      boundary: str = "exact", recorder=None) -> dict:
     """Simulate `replicates` independent virgin-island trees on one clock.
 
     All islands of all trees in a chunk advance together as flat slot arrays
@@ -412,6 +227,11 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
     Chunked as in the batch engines: per-(seed, tag, chunk) streams of
     TREE_CHUNK replicates, results independent of worker count but tied to
     the chunk constant.
+
+    recorder is `build_tree`'s hook (one replicate): it sees the slots at
+    every node with the mothers of that node's births, and every compaction
+    of the slots; it draws nothing.  Each new island then costs SLOT_BYTES +
+    RECORD_BYTES in the mean check before the draws.
     """
     x_init, inv_mass = _tree_inputs(spec, x_init, theta, delta, boundary)
     n = grid.n_steps
@@ -421,6 +241,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
     birth_rate = dt * inv_mass
     imm_lam = theta * dt * inv_mass
     roots = np.asarray([x for x in x_init if x > 0.0])
+    island_bytes = SLOT_BYTES + (0 if recorder is None else RECORD_BYTES)
 
     out = {name: np.empty((len(nodes), replicates)) for name in reducers}
     dropped = 0
@@ -432,6 +253,8 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
         rep = np.repeat(np.arange(r), roots.size)
         val = np.tile(roots, r)
         gens = np.zeros(rep.size, dtype=np.int64)
+        if recorder is not None:
+            recorder.step(0, rep, val, gens, None)
         for k in range(n + 1):
             i = node_pos.get(k)
             if i is not None:
@@ -445,8 +268,9 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
             capped_mass = float(val[capped].sum())
             mass = float(cum[-1]) if cum.size else 0.0
             new_slots = birth_rate * mass + r * imm_lam
-            if new_slots > SLOT_BUDGET // SLOT_BYTES:  # before any draw
-                raise _slot_error(rep.size + new_slots, (k + 1) * dt)
+            if new_slots > SLOT_BUDGET // island_bytes:  # before any draw
+                raise _slot_error(rep.size + new_slots, (k + 1) * dt,
+                                  island_bytes)
             n_born = int(gen.poisson(birth_rate * mass)) if mass > 0.0 else 0
             if capped_mass > 0.0:
                 lam = birth_rate * capped_mass
@@ -471,13 +295,153 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                 rep = np.concatenate(rep_parts)
                 gens = np.concatenate(gen_parts)
                 val = np.concatenate((val, np.full(n_born + n_imm, delta)))
+            if recorder is not None:
+                recorder.step(k + 1, rep, val, gens,
+                              mothers if n_born else None)
             if (k + 1) % 16 == 0:
                 alive = val > 0.0
                 if not alive.all():
                     rep, val, gens = rep[alive], val[alive], gens[alive]
+                    if recorder is not None:
+                        recorder.keep(alive)
         done += r
     out["_dropped_births"] = dropped
     return out
+
+
+# ---------------------------------------------------------------------------
+# one recorded tree
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SpectrumSnapshot:
+    """Island counts per mass bin at one time; bins exclude 0."""
+
+    time: float
+    edges: np.ndarray
+    counts: np.ndarray
+
+
+@dataclass
+class VirginIslandTree:
+    """One tree of excursions: a record per island, the total mass per node.
+
+    Island ids are the record indices and follow birth order: the roots in
+    x_init order, then per node the daughters in mother slot order and the
+    immigrants.  birth and death are grid nodes: an island holds its root
+    mass or delta at node birth and mass 0 from node death on; death is -1
+    for an island alive at the horizon (censored).  parent is -1 for roots
+    and immigrants.  totals is the total mass at every node, spectrum_values
+    the island masses at spectrum_time.
+    """
+
+    grid: TimeGrid
+    parent: np.ndarray
+    generation: np.ndarray
+    birth: np.ndarray
+    death: np.ndarray
+    peak: np.ndarray
+    area: np.ndarray
+    totals: np.ndarray
+    dropped_births: int
+    spectrum_time: float
+    spectrum_values: np.ndarray
+
+    def total_mass(self, t: float) -> float:
+        """Total mass at the grid time t."""
+        return float(self.totals[self.grid.node_of(t)])
+
+    def spectrum(self, edges) -> SpectrumSnapshot:
+        """Island counts per mass bin at spectrum_time."""
+        edges = np.asarray(edges, dtype=float)
+        if edges.ndim != 1 or edges.size < 2 or not (
+                np.all(np.diff(edges) > 0.0) and edges[0] > 0.0):
+            raise ConfigError("need two or more strictly positive, "
+                              "increasing bin edges")
+        counts, _ = np.histogram(self.spectrum_values, bins=edges)
+        return SpectrumSnapshot(self.spectrum_time, edges, counts)
+
+
+class _TreeRecorder:
+    """The island records of the one replicate `build_tree` grows.
+
+    Slot-aligned arrays, compacted with the engine's slots, hold each live
+    island's id, value, running peak and trapezoid area.  The rest of a
+    record is kept at birth (parent, generation, birth node) and at
+    extinction (ids, peaks, areas, node).
+    """
+
+    def __init__(self, grid: TimeGrid, spectrum_node: int):
+        self.dt, self.spectrum_node = grid.dt, spectrum_node
+        self.totals = np.empty(grid.n_steps + 1)
+        self.count, self.ids = 0, np.arange(0)
+        self.val, self.peak, self.area = np.empty(0), np.empty(0), np.empty(0)
+        self.born, self.ended = [(np.arange(0),) * 3], []
+
+    def step(self, k: int, rep: np.ndarray, val: np.ndarray,
+             gens: np.ndarray, mothers) -> None:
+        """Advance the records to node k; slots past the old ones are born."""
+        old, m = self.val, self.val.size
+        new = val[:m]
+        self.area += 0.5 * (old + new) * self.dt
+        np.maximum(self.peak, new, out=self.peak)
+        died = ((old > 0.0) & (new == 0.0)).nonzero()[0]
+        if died.size:
+            self.ended.append((self.ids[died], self.peak[died],
+                               self.area[died], k))
+        n_new = val.size - m
+        if n_new:
+            count = self.count + n_new
+            if count * (SLOT_BYTES + RECORD_BYTES) > SLOT_BUDGET:
+                raise _slot_error(count, k * self.dt, SLOT_BYTES + RECORD_BYTES)
+            parent = np.full(n_new, -1)
+            if mothers is not None:
+                parent[:mothers.size] = self.ids[mothers]
+            self.born.append((parent, gens[m:].copy(), np.full(n_new, k)))
+            self.ids = np.concatenate((self.ids, np.arange(self.count, count)))
+            self.peak = np.concatenate((self.peak, val[m:]))
+            self.area = np.concatenate((self.area, np.zeros(n_new)))
+            self.count = count
+        self.val = val
+        self.totals[k] = total_mass_reducer(rep, val, 1)[0]
+        if k == self.spectrum_node:
+            self.spectrum = val.copy()
+
+    def keep(self, alive: np.ndarray) -> None:
+        self.ids, self.val = self.ids[alive], self.val[alive]
+        self.peak, self.area = self.peak[alive], self.area[alive]
+
+
+def build_tree(spec: CoefficientSpec, x_init, theta: float, T: float,
+               delta: float, grid: TimeGrid, seed: int,
+               generation_cap: int = 50, boundary: str = "exact",
+               spectrum_time: float | None = None) -> VirginIslandTree:
+    """Grow one virgin-island tree: `sample_tree_stats` at one replicate.
+
+    Same seed, tag 0: same law, same draws, and the total mass at every node
+    is that engine's `total_mass_reducer`, bit for bit.  A recorder on its
+    slot loop keeps a record per island (see VirginIslandTree) and the
+    island masses at `spectrum_time`, a grid time (default: the horizon).
+    Every island ever born is charged SLOT_BYTES + RECORD_BYTES against
+    SLOT_BUDGET, as if it were still live; past it, SolverError.
+    """
+    if not abs(T - grid.horizon) <= 1e-9 * max(1.0, T) or grid.t0 != 0.0:
+        raise ConfigError("grid must start at 0 and span exactly T")
+    _check_storage(grid, 1)
+    t_snap = grid.horizon if spectrum_time is None else spectrum_time
+    rec = _TreeRecorder(grid, grid.node_of(t_snap))
+    dropped = sample_tree_stats(spec, x_init, theta, delta, grid, seed, 1, (),
+                                {}, tag=0, generation_cap=generation_cap,
+                                boundary=boundary,
+                                recorder=rec)["_dropped_births"]
+    parent, generation, birth = map(np.concatenate, zip(*rec.born))
+    peak, area = np.empty(rec.count), np.empty(rec.count)
+    death = np.full(rec.count, -1)
+    peak[rec.ids], area[rec.ids] = rec.peak, rec.area
+    for ids, pk, ar, node in rec.ended:
+        peak[ids], area[ids], death[ids] = pk, ar, node
+    return VirginIslandTree(grid, parent, generation, birth, death, peak, area,
+                            rec.totals, dropped, t_snap, rec.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +451,23 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
 def export_tree_csv(tree: VirginIslandTree, fname: str) -> None:
     """Rows: island_id, parent_id, generation, s, T0, peak, area.
 
-    T0 is the excursion's local extinction time ("inf" when censored);
-    parent_id is empty for roots.
+    Ids follow birth order; s is the birth node's time and T0 the local
+    extinction time, both on the grid ("inf" when censored); parent_id is
+    empty for roots and immigrants.
     """
     with open(fname, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["island_id", "parent_id", "generation", "s", "T0",
                     "peak", "area"])
-        for isl in tree.islands:
-            w.writerow([isl.id,
-                        "" if isl.parent_id is None else isl.parent_id,
-                        isl.generation, repr(float(isl.s)),
-                        "inf" if isl.excursion.censored
-                        else repr(float(isl.excursion.extinction_time)),
-                        repr(float(isl.peak)), repr(float(isl.area))])
+        dt = tree.grid.dt
+        for i, (parent, generation, birth, death, peak, area) in enumerate(
+                zip(tree.parent.tolist(), tree.generation.tolist(),
+                    tree.birth.tolist(), tree.death.tolist(),
+                    tree.peak.tolist(), tree.area.tolist())):
+            w.writerow([i, "" if parent < 0 else parent, generation,
+                        repr(birth * dt),
+                        "inf" if death < 0 else repr((death - birth) * dt),
+                        repr(peak), repr(area)])
 
 
 def export_spectrum_csv(snap: SpectrumSnapshot, fname: str) -> None:

@@ -1,13 +1,17 @@
 """Command line driver: formats, determinism, exit codes."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import islandsim
@@ -238,8 +242,9 @@ def test_duality_tiny_delta_outgrows_the_tree_slots_exits_3(tmp_path, capsys):
 
 
 def test_tree_tiny_delta_outgrows_the_path_budget_exits_3(tmp_path, capsys):
-    # delta 1e-9 asks for about 1e8 immigrants, 1e-300 for a Poisson mean
-    # numpy cannot draw: both stop before the draw, within seconds
+    # delta 1e-9 asks for about 1e7 immigrants in the first step, past the
+    # 3.4e6 islands of the budget, and 1e-300 for a Poisson mean numpy
+    # cannot draw: both stop before the draw, within seconds
     for delta in (1e-9, 1e-300):
         cfg = write_cfg(tmp_path, theta=1.0, x_init=[0.5], horizon=0.1,
                         dt=0.01, delta=delta)
@@ -281,6 +286,74 @@ def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
     assert cli_main(["tree", "--config", cfg,
                      "--out", str(tmp_path / "t")]) == 2
     assert "one step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("compare", {"horizon": math.inf}, "horizon"),
+    ("tree", {"horizon": math.inf}, "horizon"),
+    ("analyze", {"dt": math.nan}, "dt"),
+    ("tree", {"eval_time": math.nan, "bin_edges": [0.1, 1.0]}, "eval_time"),
+    ("tree", {"eval_time": 0.123, "dt": 0.01}, "eval_time"),
+    ("compare", {"theta": math.nan}, "theta"),
+    ("tree", {"theta": math.nan}, "theta"),
+    ("tree", {"theta": math.inf}, "theta"),
+    ("tree", {"x_init": [math.nan]}, "x_init"),
+    ("tree", {"bin_edges": ["a", "b"]}, "bin_edges"),
+    ("tree", {"generation_cap": "x"}, "generation_cap"),
+    ("tree", {"x_init": 0.5}, "x_init"),
+    ("tree", {"delta": "x"}, "delta"),
+])
+def test_bad_config_value_exits_2_and_names_it(tmp_path, capsys, command,
+                                               extra, key):
+    cfg = write_cfg(tmp_path, **{"topology": 2, "x_init": [0.5],
+                                 "theta": 1.0, **extra})
+    assert cli_main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert key in err or "horizon and dt must be finite" in err
+    assert not os.path.exists(tmp_path / "o" / f"{command}.csv")
+
+
+# key -> (well-formed values, malformed ones); well-formed values can still
+# fail a check (an off-grid dt) or outgrow the tree (delta 1e-300)
+_TREE_FUZZ = {
+    "delta": ((0.1, 0.3, 1e-300),
+              (0.0, -1.0, math.nan, math.inf, -math.inf, "x", [0.1], None)),
+    "theta": ((0.0, 1.0), (-1.0, math.nan, math.inf, "x", [1.0], None)),
+    "x_init": (([], [0.5], [0.2, 0.0], [1e300]),
+               ([-0.1], [math.nan], [math.inf], ["a"], 0.5, "x", None)),
+    "horizon": ((0.1, 0.2), (0.0, -1.0, math.nan, math.inf, "x", [0.1],
+                             None)),
+    "dt": ((0.01, 0.05, 0.03),
+           (0.0, 1e-300, math.nan, math.inf, -math.inf, "x", None)),
+    "eval_time": ((0.0, 0.1, 0.05), (0.123, -1.0, math.nan, math.inf, "x",
+                                     [0.1], None)),
+    "bin_edges": (([0.1, 0.5], [0.1, math.inf]),
+                  ([0.5, 0.1], [], [0.0, 1.0], [math.nan, 1.0], ["a", "b"],
+                   0.5, "x", None)),
+    "generation_cap": ((0, 1, 50, -1), (2.5, math.nan, "x", [1], None)),
+}
+
+
+def _fuzz_value(good, bad):
+    # three draws in four well-formed, so whole configs often run
+    return st.one_of(st.sampled_from(good), st.sampled_from(good),
+                     st.sampled_from(good), st.sampled_from(bad))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({}, optional={
+    key: _fuzz_value(*values) for key, values in _TREE_FUZZ.items()}))
+def test_tree_fuzzed_config_keeps_the_exit_contract(tmp_path_factory, extra):
+    # any value of these keys, however malformed, ends in exit 0, 2 or 3
+    cfg = dict(LOGISTIC, horizon=0.1, dt=0.01)
+    cfg.update(extra)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = cli_main(["tree", "--config", str(path), "--out", str(tmp)])
+    assert rc in (0, 2, 3)
 
 
 def test_identities_run(tmp_path):

@@ -67,6 +67,20 @@ def test_time_grid_rejects_bad_setup():
         TimeGrid(0.0, 1e-9, 1.0)  # rounds to 0 steps
 
 
+@pytest.mark.parametrize("t0, horizon, dt", [
+    (0.0, math.inf, 0.01), (0.0, math.nan, 0.01), (0.0, 1.0, math.nan),
+    (0.0, 1.0, math.inf), (math.nan, 1.0, 0.01), (-math.inf, 1.0, 0.01)])
+def test_time_grid_rejects_non_finite_values(t0, horizon, dt):
+    with pytest.raises(ConfigError, match="finite"):
+        TimeGrid(t0, horizon, dt)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_time_grid_node_of_rejects_non_finite_times(t):
+    with pytest.raises(ConfigError, match="not on the grid"):
+        TimeGrid(0.0, 1.0, 0.01).node_of(t)
+
+
 # -- single island --------------------------------------------------------------
 
 @pytest.mark.parametrize("boundary", ["exact", "bridge", "clip"])

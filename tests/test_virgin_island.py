@@ -28,9 +28,11 @@ from islandsim import (
     export_spectrum_csv,
 )
 from islandsim.exceptions import SolverError
+from islandsim import virgin_island
 from islandsim.virgin_island import (
-    NODE_BYTES,
+    RECORD_BYTES,
     SLOT_BUDGET,
+    SLOT_BYTES,
     _pick_slots,
     bin_count_reducer,
     excursion_mass_above,
@@ -100,14 +102,45 @@ def test_excursion_input_validation():
         sample_excursion(logistic_spec(), 0.1, g, seed=0, method="magic")
 
 
-# -- single-tree object engine ------------------------------------------------------
+# -- one recorded tree ------------------------------------------------------------
 
 def test_tree_initial_mass_is_exact():
     g = TimeGrid(0.0, 2.0, 0.01)
     tree = build_tree(logistic_spec(), (0.7, 0.3), 0.5, 2.0, 0.1, g, seed=8)
     assert tree.total_mass(0.0) == pytest.approx(1.0)
-    roots = [i for i in tree.islands if i.parent_id is None]
-    assert len(roots) >= 2
+    roots = (tree.parent < 0) & (tree.birth == 0)
+    assert roots.sum() == 2
+    assert np.all(tree.peak[:2] >= [0.7, 0.3])  # ids 0, 1 in x_init order
+
+
+def test_tree_totals_are_the_slot_engine_replicate():
+    # build_tree is replicate 0 of sample_tree_stats(replicates=1, tag=0):
+    # its total mass at every node is that engine's reducer, bit for bit
+    spec, g = logistic_spec(), TimeGrid(0.0, 1.0, 0.01)
+    tree = build_tree(spec, (0.7, 0.3), 1.0, 1.0, 0.1, g, seed=8)
+    ref = sample_tree_stats(spec, (0.7, 0.3), 1.0, 0.1, g, seed=8,
+                            replicates=1, report_nodes=range(g.n_steps + 1),
+                            reducers={"V": total_mass_reducer}, tag=0)
+    assert tree.parent.size > 10
+    assert np.array_equal(tree.totals, ref["V"][:, 0])
+    assert tree.totals[-1] == pytest.approx(tree.spectrum_values.sum(),
+                                            rel=1e-12)
+
+
+def test_tree_records_follow_birth_order():
+    g = TimeGrid(0.0, 1.0, 0.01)
+    tree = build_tree(logistic_spec(), (0.5,), 2.0, 1.0, 0.1, g, seed=3)
+    assert np.all(np.diff(tree.birth) >= 0)
+    kids = tree.parent >= 0
+    assert np.all(tree.parent[kids] < np.flatnonzero(kids))
+    assert np.all(tree.birth[tree.parent[kids]] < tree.birth[kids])
+    assert np.array_equal(tree.generation[kids],
+                          tree.generation[tree.parent[kids]] + 1)
+    assert np.all(tree.generation[~kids] == 0)
+    dead = tree.death >= 0
+    assert np.all(tree.death[dead] > tree.birth[dead])
+    assert np.all(tree.peak[1:] >= 0.1)
+    assert np.all(tree.area[tree.birth < g.n_steps] > 0.0)
 
 
 def test_tree_immigrant_count_matches_rate():
@@ -118,14 +151,15 @@ def test_tree_immigrant_count_matches_rate():
     g = TimeGrid(0.0, T, 0.01)
     expected = theta * T / scale_function(spec, delta)
     tree = build_tree(spec, (), theta, T, delta, g, seed=15)
-    immigrants = sum(1 for i in tree.islands
-                     if i.parent_id is None and i.s > 0.0)
+    immigrants = np.count_nonzero((tree.parent < 0) & (tree.birth > 0))
     assert abs(immigrants - expected) < 4.0 * math.sqrt(expected)
 
 
 def test_tree_direct_children_mean_matches_area_rate():
     # each island births Poisson(area/S(delta)) daughters; with the cap at
     # generation 1 the daughters of the single root are countable directly
+    # (births at the next node make the rate the left Riemann sum, which
+    # misses the trapezoid area by 0.5 * 0.5 dt / S per tree, z ~ 0.1)
     spec = logistic_spec()
     delta = 0.2
     g = TimeGrid(0.0, 6.0, 0.01)
@@ -134,9 +168,8 @@ def test_tree_direct_children_mean_matches_area_rate():
     for s in range(250):
         tree = build_tree(spec, (0.5,), 0.0, 6.0, delta, g, seed=1000 + s,
                           generation_cap=1)
-        root = next(i for i in tree.islands if i.parent_id is None)
-        kids = sum(1 for i in tree.islands if i.parent_id == root.id)
-        lam = root.area / S
+        kids = np.count_nonzero(tree.parent == 0)
+        lam = tree.area[0] / S
         diffs.append(kids - lam)
         variances.append(lam)
     z = np.sum(diffs) / math.sqrt(np.sum(variances))
@@ -147,43 +180,75 @@ def test_tree_generation_cap_drops_births():
     g = TimeGrid(0.0, 4.0, 0.01)
     tree = build_tree(logistic_spec(), (1.0,), 1.0, 4.0, 0.1, g, seed=5,
                       generation_cap=0)
-    assert all(i.generation == 0 for i in tree.islands)
+    assert np.all(tree.generation == 0)
     assert tree.dropped_births > 0
 
 
 def test_tree_validation():
     g = TimeGrid(0.0, 1.0, 0.01)
+    empty = build_tree(logistic_spec(), (0.0,), 0.0, 1.0, 0.1, g, seed=0)
+    assert empty.parent.size == 0 and not empty.totals.any()
     with pytest.raises(ConfigError):
         build_tree(logistic_spec(), (), -1.0, 1.0, 0.1, g, seed=0)
     with pytest.raises(ConfigError):
         build_tree(logistic_spec(), (0.5,), 0.0, 1.0, -0.1, g, seed=0)
+    for bad in ((math.nan,), (math.inf,)):
+        with pytest.raises(ConfigError, match="finite"):
+            build_tree(logistic_spec(), bad, 0.0, 1.0, 0.1, g, seed=0)
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            build_tree(logistic_spec(), (0.5,), theta, 1.0, 0.1, g, seed=0)
+    for t in (0.123, math.nan, 1.5):
+        with pytest.raises(ConfigError, match="grid"):
+            build_tree(logistic_spec(), (0.5,), 0.0, 1.0, 0.1, g, seed=0,
+                       spectrum_time=t)
 
 
 def test_tree_path_budget():
-    # at delta 1e-9 the immigrants (mean ~1e8) and the root's daughters
-    # (~5e7) would each pass the 2^25 path values of 256 MB; at 1e-300 numpy
-    # could not even draw them.  The tree refuses before the draw.
+    # every island costs a slot and a record, 80 bytes of the 256 MB.  At
+    # delta 1e-9 the first step's immigrants (mean ~1e7) or the root's
+    # daughters (~5e6) would pass the 3.4e6 islands that fit; at 1e-300
+    # numpy could not even draw them.  The tree refuses before the draw.
     spec = logistic_spec()
     g = TimeGrid(0.0, 0.1, 0.01)
     for theta, delta in ((1.0, 1e-9), (1.0, 1e-300), (0.0, 1e-9)):
-        with pytest.raises(SolverError, match="tree paths would pass") as err:
+        with pytest.raises(SolverError, match="raise delta") as err:
             build_tree(spec, (0.5,), theta, 0.1, delta, g, seed=0)
+        assert "islands at 80 bytes each" in str(err.value)
         assert len(str(err.value)) < 200
-    # dropped births take no stored values: only numpy's limit stops them
+    # dropped births take neither slot nor record: only numpy's limit stops
+    # them
     tree = build_tree(spec, (0.5,), 0.0, 0.1, 1e-9, g, seed=0,
                       generation_cap=0)
-    assert tree.dropped_births > SLOT_BUDGET // NODE_BYTES
+    assert tree.dropped_births > SLOT_BUDGET // (SLOT_BYTES + RECORD_BYTES)
     with pytest.raises(SolverError, match="Poisson mean"):
         build_tree(spec, (0.5,), 0.0, 0.1, 1e-300, g, seed=0,
                    generation_cap=0)
+
+
+def test_tree_records_share_the_slot_budget(monkeypatch):
+    # the records of dead islands stay charged: a budget of 40 islands stops
+    # a tree whose live islands never number 40
+    g = TimeGrid(0.0, 2.0, 0.01)
+    tree = build_tree(subcritical_spec(), (), 2.0, 2.0, 0.1, g, seed=4)
+    live = np.array([np.count_nonzero((tree.birth <= k) & ((tree.death < 0)
+                                                           | (tree.death > k)))
+                     for k in range(g.n_steps + 1)])
+    assert live.max() < 40 < tree.parent.size
+    monkeypatch.setattr(virgin_island, "SLOT_BUDGET",
+                        40 * (SLOT_BYTES + RECORD_BYTES))
+    with pytest.raises(SolverError, match="raise delta"):
+        build_tree(subcritical_spec(), (), 2.0, 2.0, 0.1, g, seed=4)
 
 
 # -- spectrum ----------------------------------------------------------------------
 
 def test_spectrum_counts_roots_at_time_zero():
     g = TimeGrid(0.0, 1.0, 0.01)
-    tree = build_tree(logistic_spec(), (0.7,), 0.0, 1.0, 0.1, g, seed=2)
-    snap = tree.spectrum(0.0, (0.1, 0.5, 1.0))
+    tree = build_tree(logistic_spec(), (0.7,), 0.0, 1.0, 0.1, g, seed=2,
+                      spectrum_time=0.0)
+    snap = tree.spectrum((0.1, 0.5, 1.0))
+    assert snap.time == 0.0
     assert snap.counts.sum() == 1
     assert snap.counts[1] == 1  # 0.7 lies in [0.5, 1.0)
 
@@ -191,12 +256,23 @@ def test_spectrum_counts_roots_at_time_zero():
 def test_spectrum_export(tmp_path):
     g = TimeGrid(0.0, 1.0, 0.01)
     tree = build_tree(logistic_spec(), (0.7,), 0.5, 1.0, 0.1, g, seed=2)
-    snap = tree.spectrum(1.0, (0.1, 0.5, 1.0, 2.0))
+    snap = tree.spectrum((0.1, 0.5, 1.0, 2.0))
+    assert snap.time == 1.0  # the horizon by default
     f = tmp_path / "spec.csv"
     export_spectrum_csv(snap, str(f))
     lines = f.read_text().strip().split("\n")
     assert lines[0] == "t,bin_lo,bin_hi,count"
     assert len(lines) == 4
+
+
+def test_spectrum_is_the_masses_at_its_node():
+    g = TimeGrid(0.0, 1.0, 0.01)
+    tree = build_tree(logistic_spec(), (0.7,), 1.0, 1.0, 0.1, g, seed=2,
+                      spectrum_time=0.5)
+    assert tree.spectrum_values.sum() == pytest.approx(tree.total_mass(0.5),
+                                                       rel=1e-12)
+    alive = (tree.birth <= 50) & ((tree.death < 0) | (tree.death > 50))
+    assert np.count_nonzero(tree.spectrum_values) == alive.sum()
 
 
 # -- tree CSV ----------------------------------------------------------------------
@@ -209,10 +285,16 @@ def test_export_tree_csv_format(tmp_path):
     lines = f.read_text().strip().split("\n")
     assert lines[0] == "island_id,parent_id,generation,s,T0,peak,area"
     root_row = lines[1].split(",")
-    assert root_row[1] == ""  # roots have no parent
+    assert root_row[:4] == ["0", "", "0", "0.0"]  # roots have no parent
     assert "np.float64" not in lines[1]
-    if tree.censored_count:
+    assert len(lines) == tree.parent.size + 1
+    if np.any(tree.death < 0):
         assert any(row.split(",")[4] == "inf" for row in lines[1:])
+    for row in lines[1:]:  # s and T0 lie on grid nodes
+        s, t0 = row.split(",")[3:5]
+        assert float(s) / 0.01 == pytest.approx(round(float(s) / 0.01))
+        if t0 != "inf":
+            assert float(t0) / 0.01 == pytest.approx(round(float(t0) / 0.01))
 
 
 # -- replicated ensemble engine ------------------------------------------------------
@@ -230,24 +312,36 @@ def test_tree_stats_initial_mass_and_determinism():
     assert np.array_equal(a["V"], b["V"])
 
 
-def test_tree_stats_against_object_engine():
-    # two independent implementations of the same law: the flat-slot ensemble
-    # and the island-object builder must agree on E[V_t]
-    spec = logistic_spec()
-    g = TimeGrid(0.0, 1.0, 0.01)
-    t = 1.0
-    ens = sample_tree_stats(spec, (0.5,), 0.0, 0.1, g, seed=40,
-                            replicates=4000, report_nodes=[g.node_of(t)],
-                            reducers={"V": total_mass_reducer}, tag=2)
-    v_ens = ens["V"][0]
-    m1 = v_ens.mean()
-    s1 = v_ens.std(ddof=1) / math.sqrt(v_ens.size)
-    objs = np.array([build_tree(spec, (0.5,), 0.0, t, 0.1, g,
-                                seed=5000 + s).total_mass(t)
-                     for s in range(400)])
-    m2 = objs.mean()
-    s2 = objs.std(ddof=1) / math.sqrt(objs.size)
-    assert abs(m1 - m2) < 4.0 * (s1 + s2)
+def feller_laplace(lam, x, theta, t, c=0.0, beta=1.0):
+    """E exp(-lam Z_t) for dZ = (theta + c Z) dt + sqrt(2 beta Z) dW, Z_0 = x."""
+    if c == 0.0:
+        d = 1.0 + lam * beta * t
+        growth = 1.0
+    else:
+        growth = math.exp(c * t)
+        d = 1.0 + lam * beta * math.expm1(c * t) / c
+    return d ** (-theta / beta) * math.exp(-lam * x * growth / d)
+
+
+def test_tree_stats_match_the_feller_laplace_transform():
+    # Feller branching: the tree's total mass is the CIR law as delta -> 0
+    # (excursion representation; Pitman and Yor 1982).  At delta 0.005 the
+    # cutoff bias is well inside 4 SE at this budget; frozen seed
+    spec = CoefficientSpec(LinearDrift(0.0), LinearDiffusion(1.0),
+                           DomainInterval())
+    x, theta, t = 1.0, 0.5, 1.0
+    g = TimeGrid(0.0, t, 2e-3)
+    lams = (0.5, 1.0, 4.0)
+    red = {lam: (lambda lam: lambda rep, val, r: np.exp(
+        -lam * total_mass_reducer(rep, val, r)))(lam) for lam in lams}
+    res = sample_tree_stats(spec, (x,), theta, 0.005, g, seed=5,
+                            replicates=4000, report_nodes=[g.n_steps],
+                            reducers=red, tag=1)
+    for lam in lams:
+        v = res[lam][0]
+        z = (v.mean() - feller_laplace(lam, x, theta, t)) \
+            / (v.std(ddof=1) / math.sqrt(v.size))
+        assert abs(z) <= 4.0, (lam, z)
 
 
 def test_smaller_delta_recovers_more_mass():
