@@ -311,27 +311,28 @@ def test_bad_config_value_exits_2_and_names_it(tmp_path, capsys, command,
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert key in err or "horizon and dt must be finite" in err
-    assert not os.path.exists(tmp_path / "o" / f"{command}.csv")
+    assert not os.path.exists(tmp_path / "o")  # refused before any output
 
 
 # key -> (well-formed values, malformed ones); well-formed values can still
-# fail a check (an off-grid dt) or outgrow the tree (delta 1e-300)
+# fail a check (an off-grid dt) or outgrow the tree (delta 1e-300), and
+# null keeps the default
 _TREE_FUZZ = {
-    "delta": ((0.1, 0.3, 1e-300),
-              (0.0, -1.0, math.nan, math.inf, -math.inf, "x", [0.1], None)),
-    "theta": ((0.0, 1.0), (-1.0, math.nan, math.inf, "x", [1.0], None)),
-    "x_init": (([], [0.5], [0.2, 0.0], [1e300]),
-               ([-0.1], [math.nan], [math.inf], ["a"], 0.5, "x", None)),
-    "horizon": ((0.1, 0.2), (0.0, -1.0, math.nan, math.inf, "x", [0.1],
-                             None)),
-    "dt": ((0.01, 0.05, 0.03),
-           (0.0, 1e-300, math.nan, math.inf, -math.inf, "x", None)),
-    "eval_time": ((0.0, 0.1, 0.05), (0.123, -1.0, math.nan, math.inf, "x",
-                                     [0.1], None)),
-    "bin_edges": (([0.1, 0.5], [0.1, math.inf]),
+    "delta": ((0.1, 0.3, 1e-300, None),
+              (0.0, -1.0, math.nan, math.inf, -math.inf, "x", [0.1])),
+    "theta": ((0.0, 1.0, None), (-1.0, math.nan, math.inf, "x", [1.0])),
+    "x_init": (([], [0.5], [0.2, 0.0], [1e300], None),
+               ([-0.1], [math.nan], [math.inf], ["a"], 0.5, "x")),
+    "horizon": ((0.1, 0.2, None), (0.0, -1.0, math.nan, math.inf, "x",
+                                   [0.1])),
+    "dt": ((0.01, 0.05, 0.03, None),
+           (0.0, 1e-300, math.nan, math.inf, -math.inf, "x")),
+    "eval_time": ((0.0, 0.1, 0.05, None), (0.123, -1.0, math.nan, math.inf,
+                                           "x", [0.1])),
+    "bin_edges": (([0.1, 0.5], [0.1, math.inf], None),
                   ([0.5, 0.1], [], [0.0, 1.0], [math.nan, 1.0], ["a", "b"],
-                   0.5, "x", None)),
-    "generation_cap": ((0, 1, 50, -1), (2.5, math.nan, "x", [1], None)),
+                   0.5, "x")),
+    "generation_cap": ((0, 1, 50, -1, None), (2.5, math.nan, "x", [1])),
 }
 
 
