@@ -52,49 +52,63 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _functional_from(entry: dict):
-    kind = entry.get("kind")
-    try:
-        if kind == "one_minus_exp":
-            return ExpDecreasingConcave(tuple(entry["lambdas"]),
-                                        tuple(entry["times"]))
-        if kind == "monomial":
-            return MixedMonomial(tuple(entry["times"]))
-        if kind == "step":
-            return SmoothedStep(tuple(entry["thresholds"]),
-                                tuple(entry["widths"]), tuple(entry["times"]))
-    except KeyError as e:
-        raise ConfigError(f"functional {kind!r} misses field {e.args[0]!r}") from None
-    raise ConfigError(f"unknown functional kind {kind!r}; "
-                      "choose one_minus_exp, monomial, or step")
-
-
-def _topology_from(raw):
-    if raw is None or isinstance(raw, int):
-        return raw
-    if isinstance(raw, dict) and "entries" in raw:
-        return MigrationMatrix(np.asarray(raw["entries"], dtype=float))
-    raise ConfigError("topology must be an island count or {'entries': [[...]]}")
-
-
-# JSON types of the ExperimentConfig keys a config may set (boundary and
-# duality_points are checked later); JSON null leaves a key at its default
+_NUMBERS = "a list of numbers"
+_POINTS = "a list of [x, y, t] lists of numbers"
+_SQUARE = "a square list of lists of numbers"
+# JSON types of the ExperimentConfig keys a config may set (boundary is
+# checked later); JSON null leaves a key at its default
 _KEY_TYPES = {
     **dict.fromkeys("theta tree_dt eval_time eps diag_fraction".split(),
                     "a number"),
     **dict.fromkeys("generation_cap n_part mv_replicates k_max".split(),
                     "an integer"),
     **dict.fromkeys("x_init n_ladder tent_support bin_edges y_grid".split(),
-                    "a list of numbers"),
-    "boundary": None, "duality_points": None}
+                    _NUMBERS),
+    "duality_points": _POINTS, "boundary": None}
+# functional kind -> class and its list fields, in constructor order
+_FUNCTIONALS = {"one_minus_exp": (ExpDecreasingConcave, ("lambdas", "times")),
+                "monomial": (MixedMonomial, ("times",)),
+                "step": (SmoothedStep, ("thresholds", "widths", "times"))}
 
 
 def _has_type(value, kind: str) -> bool:
-    if kind == "a list of numbers":
-        return isinstance(value, list) and all(_has_type(v, "a number")
-                                               for v in value)
-    return not isinstance(value, bool) and isinstance(
-        value, int if kind == "an integer" else (int, float))
+    if kind in ("a number", "an integer"):
+        return not isinstance(value, bool) and isinstance(
+            value, int if kind == "an integer" else (int, float))
+    if not isinstance(value, list):
+        return False
+    if kind == _NUMBERS:
+        return all(_has_type(v, "a number") for v in value)
+    width = 3 if kind == _POINTS else len(value)  # _SQUARE: one row per island
+    return all(_has_type(v, _NUMBERS) and len(v) == width for v in value)
+
+
+def _functional_from(entry):
+    if not isinstance(entry, dict):
+        raise ConfigError(f"functionals entries must be objects, got {entry!r}")
+    kind = entry.get("kind")
+    if kind not in _FUNCTIONALS:
+        raise ConfigError(f"unknown functional kind {kind!r}; "
+                          "choose one_minus_exp, monomial, or step")
+    cls, fields = _FUNCTIONALS[kind]
+    for name in fields:
+        if name not in entry:
+            raise ConfigError(f"functional {kind!r} misses field {name!r}")
+        if not _has_type(entry[name], _NUMBERS):
+            raise ConfigError(f"functional {kind!r} field {name!r} must be "
+                              f"{_NUMBERS}, got {entry[name]!r}")
+    return cls(*(tuple(entry[name]) for name in fields))
+
+
+def _topology_from(raw):
+    if raw is None or _has_type(raw, "an integer"):
+        return raw
+    if isinstance(raw, dict) and "entries" in raw:
+        if not _has_type(raw["entries"], _SQUARE):
+            raise ConfigError(f"topology.entries must be {_SQUARE}, "
+                              f"got {raw['entries']!r}")
+        return MigrationMatrix(np.asarray(raw["entries"], dtype=float))
+    raise ConfigError("topology must be an island count or {'entries': [[...]]}")
 
 
 def _scalar(raw: dict, key: str, kind, default):
@@ -123,11 +137,12 @@ def _experiment_config(raw: dict, spec, args) -> ExperimentConfig:
             raise ConfigError(f"{key} must be {kind}, got {value!r}")
         kwargs[key] = tuple(value) if isinstance(value, list) else value
     if "duality_points" in kwargs:
-        kwargs["duality_points"] = tuple(
-            tuple(p) for p in raw["duality_points"])
-    if "functionals" in raw:
-        kwargs["functionals"] = tuple(_functional_from(e)
-                                      for e in raw["functionals"])
+        kwargs["duality_points"] = tuple(map(tuple, kwargs["duality_points"]))
+    functionals = raw.get("functionals")
+    if functionals is not None:
+        if not isinstance(functionals, list):
+            raise ConfigError(f"functionals must be a list, got {functionals!r}")
+        kwargs["functionals"] = tuple(map(_functional_from, functionals))
     kwargs["topology"] = _topology_from(raw.get("topology"))
     return ExperimentConfig(spec=spec, grid=TimeGrid(0.0, horizon, dt),
                             replicates=replicates, seed=seed, delta=delta,

@@ -11,6 +11,9 @@ reproducible bit for bit from (seed, key).
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.random (and secrets) on first use; import it here so the
+# cost falls in start-up rather than inside the first run
+import numpy.random  # noqa: F401
 
 # Purpose tags.  Distinct tags keep streams for different roles disjoint even
 # when the structural indices collide.

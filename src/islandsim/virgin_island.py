@@ -456,7 +456,7 @@ def export_tree_csv(tree: VirginIslandTree, fname: str) -> None:
     empty for roots and immigrants.
     """
     with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["island_id", "parent_id", "generation", "s", "T0",
                     "peak", "area"])
         dt = tree.grid.dt
@@ -473,7 +473,7 @@ def export_tree_csv(tree: VirginIslandTree, fname: str) -> None:
 def export_spectrum_csv(snap: SpectrumSnapshot, fname: str) -> None:
     """Rows: t, bin_lo, bin_hi, count."""
     with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "bin_lo", "bin_hi", "count"])
         for i in range(snap.counts.size):
             w.writerow([repr(snap.time), repr(float(snap.edges[i])),

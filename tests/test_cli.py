@@ -145,6 +145,18 @@ def test_tree_outputs(tmp_path):
     assert doc["metrics"]["islands"] == len(lines) - 1
 
 
+def test_tree_files_end_lines_with_lf(tmp_path):
+    # like every other CSV of the package; csv.writer's default is CRLF
+    cfg = write_cfg(tmp_path, theta=1.0, bin_edges=[0.1, 0.5, 1.0],
+                    x_init=[0.5])
+    out = tmp_path / "t"
+    assert cli_main(["tree", "--config", cfg, "--out", str(out)]) == 0
+    files = sorted(out.iterdir())
+    assert [f.name for f in files] == ["spectrum.csv", "tree.csv", "tree.json"]
+    for f in files:
+        assert b"\r" not in f.read_bytes(), f.name
+
+
 def test_tree_json_does_not_depend_on_the_out_dir(tmp_path):
     cfg = write_cfg(tmp_path, theta=1.0, bin_edges=[0.1, 0.5, 1.0],
                     x_init=[0.5])
@@ -302,6 +314,11 @@ def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
     ("tree", {"generation_cap": "x"}, "generation_cap"),
     ("tree", {"x_init": 0.5}, "x_init"),
     ("tree", {"delta": "x"}, "delta"),
+    ("compare", {"topology": True}, "topology"),
+    ("compare", {"topology": {"entries": [["a"]]}}, "topology"),
+    ("duality", {"duality_points": [1.0]}, "duality_points"),
+    ("compare", {"functionals": [{"kind": "one_minus_exp", "lambdas": "x",
+                                  "times": [0.5]}]}, "lambdas"),
 ])
 def test_bad_config_value_exits_2_and_names_it(tmp_path, capsys, command,
                                                extra, key):
@@ -367,7 +384,7 @@ def test_identities_run(tmp_path):
 
 def test_identities_run_loads_no_scipy_stats(tmp_path):
     # scipy.stats costs about 0.5 s of start-up; the chi-square quantile
-    # comes from scipy.special, so neither the import nor a run loads it
+    # is computed in the package, so neither the import nor a run loads it
     cfg = tmp_path / "feller.json"
     cfg.write_text(json.dumps({
         "drift": {"family": "linear", "params": {"c": 0.0}},
@@ -397,7 +414,7 @@ def test_identities_run_loads_no_scipy_stats(tmp_path):
 
 def test_runs_load_no_scipy_integrate_optimize_or_stats(tmp_path):
     # the analytics integrate with their own Gauss-Kronrod rule, so the
-    # import and the commands that run quadrature load only scipy.special
+    # import and the commands that run quadrature load none of these
     logistic = write_cfg(tmp_path, "logistic.json")
     tree = write_cfg(tmp_path, "tree.json", theta=1.0, x_init=[0.5],
                      bin_edges=[0.1, 0.5, 1.0])
@@ -426,6 +443,60 @@ def test_runs_load_no_scipy_integrate_optimize_or_stats(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+def test_every_command_runs_with_scipy_imports_blocked(tmp_path):
+    # numpy is the only runtime dependency: with a finder in front that
+    # refuses every scipy import, the package imports and all seven
+    # commands run, and no scipy module is ever loaded
+    logistic = {"drift": {"family": "logistic",
+                          "params": {"gamma": 1.0, "K": 1.0}},
+                "diffusion": {"family": "linear", "params": {"beta": 1.0}}}
+    small = dict(logistic, dt=0.01, horizon=0.5, delta=0.1, replicates=100)
+    one = [{"kind": "one_minus_exp", "lambdas": [1.0], "times": [0.5]}]
+    configs = {
+        "analyze": logistic,
+        "simulate": dict(small, mode="levels", topology=3, k_max=2,
+                         theta=1.0, x_init=[0.2] * 3),
+        "tree": dict(small, theta=1.0, x_init=[0.5], eval_time=0.3,
+                     bin_edges=[0.1, 0.5, 1.0]),
+        "duality": dict(small, duality_points=[[1.0, 1.0, 0.5]], n_part=100,
+                        mv_replicates=100),
+        "compare": dict(small, topology=4, x_init=[0.05] * 4,
+                        functionals=one),
+        "converge": dict(small, x_init=[0.05], n_ladder=[2, 4],
+                         functionals=one),
+        "identities": {"drift": {"family": "linear", "params": {"c": 0.0}},
+                       "diffusion": {"family": "linear",
+                                     "params": {"beta": 1.0}},
+                       "eps": 1e-3, "dt": 1e-2, "horizon": 2.0,
+                       "delta": 0.1, "theta": 1.0, "replicates": 200},
+    }
+    for cmd, cfg in configs.items():
+        (tmp_path / f"{cmd}.json").write_text(json.dumps(cfg))
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import islandsim\n"
+        "from islandsim.cli import cli_main\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        f"for cmd in {list(configs)!r}:\n"
+        f"    cfg = {str(tmp_path)!r} + '/' + cmd + '.json'\n"
+        f"    out = {str(tmp_path)!r} + '/out/' + cmd\n"
+        "    assert cli_main([cmd, '--config', cfg, '--out', out]) == 0, cmd\n"
+        "    assert not scipy_modules(), (cmd, scipy_modules())\n")
+    src = os.path.dirname(os.path.dirname(islandsim.__file__))
+    res = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(configs)
+
 
 
 # -- exit codes ---------------------------------------------------------------------

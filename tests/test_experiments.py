@@ -168,6 +168,20 @@ def test_chi2_quantile_is_scipy_stats_bit_for_bit():
         assert _chi2_ppf(0.99, dof) == float(stats.chi2.ppf(0.99, dof)), dof
 
 
+def test_chi2_quantile_inversion_matches_scipy_stats():
+    # above the table and off q = 0.99 the quantile is inverted in the
+    # module; scipy's own value is a few ulp from the true one, so compare
+    # at 1e-12 relative (about 4500 ulp; the inversion stays within ~100)
+    cases = [(0.99, dof) for dof in range(65, 1001)]
+    # q = 0.001 at dof 1 starts from the small-x power law, not Wilson-Hilferty
+    cases += [(q, dof) for q in (0.001, 0.5, 0.95, 0.999)
+              for dof in (1, 4, 100)]
+    for q, dof in cases:
+        ref = float(stats.chi2.ppf(q, dof))
+        assert _chi2_ppf(q, dof) == pytest.approx(ref, rel=1e-12, abs=0), \
+            (q, dof)
+
+
 def test_analyze_rows_logistic_and_feller():
     rep = run_analyze(base_cfg())
     names = [r[0] for r in rep.rows]
