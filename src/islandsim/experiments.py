@@ -608,6 +608,13 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
     spec = cfg.spec
     dt = cfg.grid.dt
     eps = cfg.eps
+    if not 0.0 < eps < cfg.delta:  # a launch at or past delta hits at once
+        raise ConfigError(f"eps must lie in (0, delta), got {eps!r}")
+    edges = tuple(float(e) for e in cfg.bin_edges)
+    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ConfigError("bin_edges must be strictly increasing")
+    if edges[0] < cfg.delta:
+        raise ConfigError("speed-measure bins must start at or above delta")
     theta_quad = extinction_criterion(spec)
     s_eps = scale_function(spec, eps)
 
@@ -627,11 +634,6 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
     mc_q = hit_mean / s_eps
     rel_gap_b = mc_q / q_quad - 1.0
 
-    edges = tuple(float(e) for e in cfg.bin_edges)
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ConfigError("bin_edges must be strictly increasing")
-    if edges[0] < cfg.delta:
-        raise ConfigError("speed-measure bins must start at or above delta")
     theta_c = cfg.theta if cfg.theta > 0.0 else 1.0
     snap_reps = max(100, cfg.replicates // 100)
     reducers = {f"bin{i}": bin_count_reducer(edges[i], edges[i + 1])

@@ -99,8 +99,8 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
         if k == n:
             break
         if gen is None:
-            v = np.clip(_euler(v, mean_curve[k], spec.mu(v), spec.sigma2(v),
-                               noise[k], dt), 0.0, upper)
+            v = np.clip(_euler(v, mean_curve[k] - v + spec.mu(v),
+                               spec.sigma2(v) * dt, noise[k], dt), 0.0, upper)
         else:
             v, _ = _step(spec, v, dt, gen, boundary, mean_curve[k])
     return ParticleEnsemble(grid=grid, n_part=n_part, mean_curve=mean_curve,
@@ -129,8 +129,8 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     """
     if min(gamma, K, beta) <= 0.0:
         raise ConfigError("gamma, K, beta must be positive")
-    if x < 0.0 or y < 0.0:
-        raise ConfigError("x and y must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in (x, y, t)):
+        raise ConfigError("x, y and t must be finite and nonnegative")
     c = gamma / beta
     if t == 0.0:
         exact = math.exp(-c * x * y)
@@ -142,7 +142,11 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     seed = int(mc["seed"])
     boundary = mc.get("boundary", "exact")
     mv_total = int(mc.get("mv_replicates", 5 * n_part))
-    n_ensembles = max(1, -(-mv_total // n_part))
+    if n_part < 2:
+        raise ConfigError(f"n_part must be at least 2, got {n_part}")
+    if mv_total < 1:
+        raise ConfigError(f"mv_replicates must be positive, got {mv_total}")
+    n_ensembles = -(-mv_total // n_part)
     if grid.t0 != 0.0 or abs(grid.horizon - t) > 1e-9 * max(1.0, t):
         raise ConfigError("mc grid must span [0, t]")
     tree_dt = float(mc.get("tree_dt", grid.dt))

@@ -27,7 +27,7 @@ of the mean-field solver) and both system ops take every such step through
 `_step`, which draws nothing for absorbed components; the level split alone
 calls `_exact_inflow_substep` on every component.  The object-level
 single-island ops (`simulate_single` and `virgin_island.sample_excursion`)
-use the scalar loop `_single_path`, about 7x cheaper per step than the
+use the scalar loop `_single_path`, about 4-6x cheaper per step than the
 vector step on 1-element arrays; its exact branch is `_exact_inflow_substep`
 with inflow 0 in scalar form, consuming the same draws.
 
@@ -296,9 +296,9 @@ def _system_inflow(topology, theta: float, v: np.ndarray, split: bool):
     return inflow, float(top.sum()) * (N / top.shape[-1])
 
 
-def _euler(v, inflow, drift, diff2, noise, dt: float) -> np.ndarray:
-    """Euler step v + (inflow - v + drift) dt + sqrt(diff2 dt) noise."""
-    return v + (inflow - v + drift) * dt + np.sqrt(diff2 * dt) * noise
+def _euler(v, rate, s2dt, noise, dt: float) -> np.ndarray:
+    """Euler step v + rate dt + sqrt(s2dt) noise, rate = inflow - v + mu(v)."""
+    return v + rate * dt + np.sqrt(s2dt) * noise
 
 
 def _system_step(spec: CoefficientSpec, topology, theta: float, v: np.ndarray,
@@ -474,10 +474,18 @@ def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
     """`_exact_inflow_substep` on live components (old > 0 or inflow > 0).
 
     mu_x and s2_x broadcast against old: 0-d for a constant ratio, island
-    ratios of shape (r, 1, islands) in the level split.
+    ratios of shape (r, 1, islands) in the level split.  Both 0-d (Feller):
+    b dt, 2f and e^{-b dt} are scalars from the same numpy expm1/exp; only
+    |b dt| < 1e-10 or c <= 0 takes the array form.
     """
     b = 1.0 - mu_x
     c = s2_x
+    if np.ndim(b) == 0 == np.ndim(c):
+        bdt = min(max(float(b) * dt, -50.0), 50.0)
+        if c > 0.0 and abs(bdt) >= 1e-10:
+            f2 = 2.0 * (c * -np.expm1(-bdt) / (4.0 * b))
+            k = gen.poisson(old * np.exp(-bdt) / f2)
+            return gen.gamma(2.0 * inflow / c + k, f2)
     bdt = np.minimum(np.maximum(b * dt, -50.0), 50.0)
     neg = -bdt
     em = -np.expm1(neg)  # 1 - e^{-b dt}, sign matches b
@@ -512,10 +520,11 @@ def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
     `switch_level(dt, stop_level, upper)` ("exact" only) take
     `_exact_inflow_substep`, the rest an Euler step from v to w, clamped into
     [0, upper] with an inflow or under "clip".  Otherwise the bridge tests
-    follow: killed if w <= 0 or with the touch probability
-    exp(-2 v w / (sigma2(v) dt)), crossed if w >= stop_level or with
+    follow.  One test kills: u < exp(-2 v max(w, 0) / (sigma2(v) dt)), the
+    touch probability, which is 1 (so kills) where w <= 0; a component with
+    sigma2(v) = 0 dies only at w <= 0.  Crossed if w >= stop_level or with
     exp(-2 (stop_level - v)(stop_level - w) / (sigma2(v) dt)).  One uniform
-    serves both tests: the 0- and stop_level-adjacent regions where either
+    u serves both tests: the 0- and stop_level-adjacent regions where either
     probability is non-negligible are never both one step away.  crossed
     marks up-crossings of stop_level (None without one); the clamp and the
     exact kernel see them at the node only.  Draw order: normals, uniforms,
@@ -533,9 +542,9 @@ def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
         live |= inflow > 0.0
     elif inflow is not None and inflow > 0.0:
         live[:] = True
-    below = flat < y_switch
-    lo = (live & below).nonzero()[0]  # index gathers beat boolean masks
-    hi = (live > below).nonzero()[0]
+    # index gathers beat boolean masks; at or above y_switch > 0 is live
+    hi = (flat >= y_switch if y_switch > 0.0 else live).nonzero()[0]
+    lo = (live & (flat < y_switch)).nonzero()[0]
     a_hi = a_lo = 0.0 if inflow is None else inflow
     if per_component:
         a_hi, a_lo = inflow[hi], inflow[lo]
@@ -543,24 +552,31 @@ def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
     up = None if stop_level is None else np.zeros(flat.shape, dtype=bool)
     if hi.size:
         vh = flat[hi]
-        s2 = spec.sigma2(vh)
-        w = _euler(vh, a_hi, spec.mu(vh), s2, gen.standard_normal(hi.size), dt)
+        s2dt = spec.sigma2(vh) * dt
+        drift = spec.mu(vh)
+        w = _euler(vh, drift - vh if inflow is None else a_hi - vh + drift,
+                   s2dt, gen.standard_normal(hi.size), dt)
         if bounded:
             w = np.minimum(w, upper)
+        wp = np.maximum(w, 0.0)
         if inflow is None and boundary != "clip":
             u = gen.random(hi.size)
-            s2dt = s2 * dt
-            ok = s2dt > 0.0
-            safe = np.where(ok, s2dt, 1.0)
-            dead = (w <= 0.0) | (u < np.where(
-                ok & (w > 0.0), np.exp(-2.0 * vh * np.maximum(w, 0.0) / safe),
-                0.0))
+            # one kill test (exp(...) = 1 > u where w <= 0); sigma2 = 0 (Wright-
+            # Fisher at upper): killed at w <= 0 only, no crossing inside
+            diffusing = s2dt.min() > 0.0
+            safe = s2dt if diffusing else np.where(s2dt > 0.0, s2dt, np.inf)
+            dead = u < np.exp(-2.0 * vh * wp / safe)
+            if not diffusing:
+                dead &= (s2dt > 0.0) | (w <= 0.0)
             if stop_level is not None:
-                up[hi] = inside = u < np.where(ok & (w < stop_level), np.exp(
-                    -2.0 * (stop_level - vh) * (stop_level - w) / safe), 0.0)
+                inside = u < np.exp(
+                    -2.0 * (stop_level - vh) * (stop_level - w) / safe)
+                if not diffusing:
+                    inside &= s2dt > 0.0
+                up[hi] = inside
                 dead &= ~(inside | (w >= stop_level))
-            w = np.where(dead, 0.0, w)
-        new[hi] = np.maximum(w, 0.0)
+            wp[dead] = 0.0
+        new[hi] = wp
     if lo.size:
         vl = flat[lo]
         x = _exact_kernel(gen, vl, a_lo, spec.mu_over_x(vl),
@@ -636,8 +652,10 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
         area = np.zeros(b)
         peak = np.full(b, float(x0))
         hit = np.zeros(b, dtype=bool)
+        # live paths' values, areas, peaks; area/peak get them at compaction
         idx = np.arange(b)
         cur_v = np.full(b, float(x0))
+        cur_a, cur_p = area.copy(), peak.copy()
         steps = 0
         while idx.size and steps < max_steps:
             new, crossed = _step(spec, cur_v, dt, gen, boundary,
@@ -645,15 +663,17 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
             if crossed is not None and crossed.any():
                 hit[idx] |= crossed
                 new = np.where(crossed, 0.0, new)
-            area[idx] += 0.5 * (cur_v + new) * dt
-            peak[idx] = np.maximum(peak[idx], new)
+            cur_a += 0.5 * (cur_v + new) * dt
+            np.maximum(cur_p, new, out=cur_p)
             cur_v = new
             steps += 1
             if steps % 64 == 0 or not cur_v.any():  # drop absorbed paths
+                area[idx], peak[idx] = cur_a, cur_p
                 alive = cur_v > 0.0
                 idx, cur_v = idx[alive], cur_v[alive]
-        if idx.size:
-            censored += int((cur_v > 0.0).sum())
+                cur_a, cur_p = cur_a[alive], cur_p[alive]
+        area[idx], peak[idx] = cur_a, cur_p
+        censored += int((cur_v > 0.0).sum())
         areas.append(area)
         peaks.append(peak)
         hits.append(hit)

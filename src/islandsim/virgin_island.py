@@ -149,11 +149,11 @@ def _slot_error(islands: float, t: float,
         "or lower generation_cap")
 
 
-def _check_dropped(lam: float, where: str) -> None:
+def _check_dropped(lam: float, t: float) -> None:
     """Dropped births are only counted: refuse a mean numpy cannot draw."""
     if not lam <= POISSON_LAM_MAX:
         raise SolverError(
-            f"dropped births {where} have mean {lam:g}, past the largest "
+            f"dropped births at t = {t:g} have mean {lam:g}, past the largest "
             "Poisson mean numpy draws; raise delta")
 
 
@@ -264,9 +264,12 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                 break
             # births from the pre-step values, landing at node k+1
             capped = gens >= generation_cap
-            cum = np.cumsum(np.where(capped, 0.0, val))
-            capped_mass = float(val[capped].sum())
-            mass = float(cum[-1]) if cum.size else 0.0
+            if capped.all():  # generation_cap 0: no slot gives birth
+                cum, mass, capped_mass = None, 0.0, float(val.sum())
+            else:  # the mask only where some slots are capped
+                cum = np.cumsum(np.where(capped, 0.0, val) if capped.any()
+                                else val)
+                mass, capped_mass = float(cum[-1]), float(val[capped].sum())
             new_slots = birth_rate * mass + r * imm_lam
             if new_slots > SLOT_BUDGET // island_bytes:  # before any draw
                 raise _slot_error(rep.size + new_slots, (k + 1) * dt,
@@ -274,7 +277,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
             n_born = int(gen.poisson(birth_rate * mass)) if mass > 0.0 else 0
             if capped_mass > 0.0:
                 lam = birth_rate * capped_mass
-                _check_dropped(lam, f"at t = {(k + 1) * dt:g}")
+                _check_dropped(lam, (k + 1) * dt)
                 dropped += int(gen.poisson(lam))
             n_imm = int(gen.poisson(r * imm_lam)) if imm_lam > 0.0 else 0
             if (rep.size + n_born + n_imm) * SLOT_BYTES > SLOT_BUDGET:

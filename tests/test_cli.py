@@ -319,6 +319,12 @@ def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
     ("duality", {"duality_points": [1.0]}, "duality_points"),
     ("compare", {"functionals": [{"kind": "one_minus_exp", "lambdas": "x",
                                   "times": [0.5]}]}, "lambdas"),
+    ("duality", {"n_part": 0}, "n_part"),
+    ("duality", {"n_part": 1}, "n_part"),
+    ("duality", {"mv_replicates": 0}, "mv_replicates"),
+    ("identities", {"eps": 0.0}, "eps"),
+    ("identities", {"eps": 0.1}, "eps"),              # eps == delta
+    ("identities", {"eps": 0.5}, "eps"),
 ])
 def test_bad_config_value_exits_2_and_names_it(tmp_path, capsys, command,
                                                extra, key):
@@ -372,6 +378,58 @@ def test_tree_fuzzed_config_keeps_the_exit_contract(tmp_path_factory, extra):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         rc = cli_main(["tree", "--config", str(path), "--out", str(tmp)])
     assert rc in (0, 2, 3)
+
+
+# identities and duality values per key, well-formed or not; the budgets
+# stay tiny (100 replicates, 10 steps, a few particles), so a run takes
+# milliseconds
+_IDENTITIES_FUZZ = {
+    "eps": (1e-3, 0.02, None, 0.0, -1e-3, 0.1, 0.5, math.nan, math.inf, "x"),
+    "delta": (0.1, 0.3, None, 0.0, 1e-300, -1.0, math.nan, math.inf, "x"),
+    "bin_edges": ([0.3, 0.5], [0.3, 1.0, math.inf], None, [0.5, 0.3],
+                  [0.05, 0.5], [0.3, math.nan], [], "x"),
+    "dt": (0.01, 0.02, None, 0.0, 0.03, math.nan, math.inf, "x"),
+    "horizon": (0.1, 0.2, None, 0.0, -1.0, math.inf, "x"),
+}
+_DUALITY_FUZZ = {
+    "n_part": (2, 5, 0, 1, -3, 2.5, math.nan, "x"),
+    "mv_replicates": (1, 4, 12, None, 0, -1, 2.5, "x"),
+    "duality_points": (
+        [[1.0, 1.0, 0.1]], [[0.5, 2.0, 0.0]],
+        [[0.2, 0.3, 0.05], [1.0, 1.0, 0.1]], [[1.0, 1.0, -0.1]],
+        [[math.nan, 1.0, 0.1]], [[1.0, math.inf, 0.1]],
+        [[1.0, 1.0, math.inf]], [[1.0, 1.0, math.nan]], [[1.0, 1.0, 0.123]],
+        [1.0], [["a", 1.0, 1.0]], []),
+    "horizon": (0.1, None, 0.0, math.inf),
+}
+
+
+def _pairs_of_keys(values):
+    # one or two keys off the base config: every value, and every pair of
+    # values of two keys, is in reach of a small example budget
+    return st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=2,
+                    unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                        {k: st.sampled_from(values[k]) for k in keys}))
+
+
+@pytest.mark.parametrize("command, values, base", [
+    ("identities", _IDENTITIES_FUZZ, {"theta": 1.0, "eps": 0.02}),
+    ("duality", _DUALITY_FUZZ, {"n_part": 3, "mv_replicates": 6}),
+])
+def test_fuzzed_run_config_keeps_the_exit_contract(tmp_path_factory, command,
+                                                   values, base):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_pairs_of_keys(values))
+    def run(extra):
+        cfg = dict(LOGISTIC, horizon=0.1, dt=0.01, replicates=100, **base)
+        cfg.update(extra)
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = cli_main([command, "--config", str(path), "--out", str(tmp)])
+        assert rc in (0, 2, 3)
+    run()
 
 
 def test_identities_run(tmp_path):

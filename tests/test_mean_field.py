@@ -21,6 +21,9 @@ from islandsim import (
     solve_rho,
 )
 
+# a RuntimeWarning from the engines (an overflow, a division by 0) fails
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def logistic_spec():
     return CoefficientSpec(Logistic(1.0, 1.0), LinearDiffusion(1.0),
@@ -134,6 +137,23 @@ def test_duality_lhs_decreases_in_x():
     lo = duality_gap(1.0, 1.0, 1.0, 0.5, 1.0, 0.5, _mc())[0]
     hi = duality_gap(1.0, 1.0, 1.0, 2.0, 1.0, 0.5, _mc())[0]
     assert hi < lo
+
+
+@pytest.mark.parametrize("x, y, t", [(math.nan, 1.0, 0.5),
+                                     (1.0, math.inf, 0.5),
+                                     (1.0, 1.0, math.nan),
+                                     (1.0, 1.0, -0.5)])
+def test_duality_rejects_a_non_finite_or_negative_point(x, y, t):
+    # a NaN x used to run and report NaN for both sides' gap
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        duality_gap(1.0, 1.0, 1.0, x, y, t, _mc())
+
+
+@pytest.mark.parametrize("key, value", [("n_part", 1), ("mv_replicates", 0)])
+def test_duality_rejects_too_few_particles(key, value):
+    mc = dict(_mc(), **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        duality_gap(1.0, 1.0, 1.0, 1.0, 1.0, 0.5, mc)
 
 
 def test_duality_grid_must_span_horizon():

@@ -21,6 +21,8 @@ from islandsim import (
     LinearDrift,
     Logistic,
     MigrationMatrix,
+    PowerDiffusion,
+    PowerDrift,
     SelectionMutation,
     TimeGrid,
     WrightFisher,
@@ -30,10 +32,13 @@ from islandsim import (
     simulate_system,
     single_batch_stats,
 )
-from islandsim.sde import (_exact_inflow_substep, _report_nodes, _single_path,
-                           _step, switch_level)
+from islandsim.sde import (_exact_inflow_substep, _exact_kernel, _report_nodes,
+                           _single_path, _step, switch_level)
 from islandsim.rng import substream
 from islandsim.virgin_island import sample_tree_stats, total_mass_reducer
+
+# a RuntimeWarning from the engines (an overflow, a division by 0) fails
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def feller():
@@ -243,6 +248,149 @@ def test_step_with_inflow_draws_for_entrance_points_only(boundary):
     assert np.array_equal(new[live], ref)
     assert not new[kind == 0].any()
     assert np.all(new[kind == 1] > 0.0)
+    assert gen.random() == ref_gen.random()
+
+
+# -- the vector step against its masked reference ------------------------------
+#
+# `_masked_kernel` and `_masked_step` write every test of the exact kernel and
+# the Euler step out on whole arrays, guarded by np.where: the general kernel
+# on 0-d and array ratios alike, three separate kill conditions (w <= 0, no
+# diffusion, the bridge probability) and a crossing test masked to w < level.
+# `_exact_kernel` and `_step` take shortcuts (scalar constants for 0-d ratios,
+# one bridge test); they must give the same bits on the same stream.
+
+def _masked_kernel(gen, old, inflow, mu_x, s2_x, dt):
+    b = 1.0 - mu_x
+    c = s2_x
+    bdt = np.minimum(np.maximum(b * dt, -50.0), 50.0)
+    neg = -bdt
+    em = -np.expm1(neg)
+    small = np.abs(bdt) < 1e-10
+    if small.any():
+        f = np.where(small, c * dt * 0.25 * (1.0 - 0.5 * bdt),
+                     c * em / np.where(small, 1.0, 4.0 * b))
+    else:
+        f = c * em / (4.0 * b)
+    decay = old * np.exp(neg)
+    ok = c > 0.0
+    if ok.all():
+        f2 = 2.0 * f
+        k = gen.poisson(decay / f2)
+        return gen.gamma(2.0 * inflow / c + k, f2)
+    ode = decay + inflow * np.where(small, dt * (1.0 - 0.5 * bdt),
+                                    em / np.where(small, 1.0, b))
+    f_safe = np.where(ok, f, 1.0)
+    k = gen.poisson(np.where(ok, decay / (2.0 * f_safe), 0.0))
+    shape = np.where(ok, 2.0 * inflow / np.where(ok, c, 1.0), 0.0) + k
+    return np.where(ok, gen.gamma(shape, 2.0 * f_safe), ode)
+
+
+def _masked_step(spec, v, dt, gen, boundary, inflow=None, stop_level=None):
+    upper = spec.domain.upper
+    y_switch = switch_level(dt, stop_level, upper) if boundary == "exact" \
+        else 0.0
+    flat = v.ravel()
+    live = flat > 0.0
+    if inflow is not None and np.ndim(inflow) > 0:
+        inflow = np.broadcast_to(inflow, v.shape).ravel()
+        live |= inflow > 0.0
+    elif inflow is not None and inflow > 0.0:
+        live[:] = True
+    below = flat < y_switch
+    lo, hi = (live & below).nonzero()[0], (live & ~below).nonzero()[0]
+    a_hi = a_lo = 0.0 if inflow is None else inflow
+    if np.ndim(inflow) > 0:
+        a_hi, a_lo = inflow[hi], inflow[lo]
+    new = np.zeros(flat.shape)
+    up = np.zeros(flat.shape, dtype=bool)
+    if hi.size:
+        vh = flat[hi]
+        s2 = spec.sigma2(vh)
+        noise = gen.standard_normal(hi.size)
+        w = vh + (a_hi - vh + spec.mu(vh)) * dt + np.sqrt(s2 * dt) * noise
+        w = np.minimum(w, upper)
+        if inflow is None and boundary != "clip":
+            u = gen.random(hi.size)
+            s2dt = s2 * dt
+            ok = s2dt > 0.0
+            safe = np.where(ok, s2dt, 1.0)
+            dead = (w <= 0.0) | (u < np.where(
+                ok & (w > 0.0), np.exp(-2.0 * vh * np.maximum(w, 0.0) / safe),
+                0.0))
+            if stop_level is not None:
+                up[hi] = inside = u < np.where(ok & (w < stop_level), np.exp(
+                    -2.0 * (stop_level - vh) * (stop_level - w) / safe), 0.0)
+                dead &= ~(inside | (w >= stop_level))
+            w = np.where(dead, 0.0, w)
+        new[hi] = np.maximum(w, 0.0)
+    if lo.size:
+        x = _masked_kernel(gen, flat[lo], a_lo, spec.mu_over_x(flat[lo]),
+                           spec.sigma2_over_x(flat[lo]), dt)
+        new[lo] = np.minimum(x, upper)
+    new = new.reshape(v.shape)
+    if stop_level is None:
+        return new, None
+    return new, up.reshape(v.shape) | (new >= stop_level)
+
+
+_REFERENCE_SPECS = {
+    "feller": feller(),                      # 0-d ratios
+    "feller_b0": CoefficientSpec(LinearDrift(1.0), LinearDiffusion(1.0)),
+    "logistic": logistic_spec(),
+    "power": CoefficientSpec(PowerDrift(1.0, 1.0, 1.0, 2.0),
+                             PowerDiffusion(1.0, 1.5)),
+    "wright_fisher": CoefficientSpec(SelectionMutation(0.6, 0.2),
+                                     WrightFisher(), DomainInterval(1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SPECS))
+@pytest.mark.parametrize("boundary", ["exact", "bridge", "clip"])
+@pytest.mark.parametrize("inflow", [None, "scalar", "per_component"])
+@pytest.mark.parametrize("stop_level", [None, 2e-3, 0.5, 2.0])
+def test_step_equals_the_masked_reference_bit_for_bit(name, boundary, inflow,
+                                                      stop_level):
+    # states at 0, near it, around the switch level, past the stopping
+    # level and, for Wright-Fisher, at upper = 1 where sigma2 vanishes; a
+    # level of 2e-3 leaves paths past it in reach of 0, one past upper
+    # keeps Wright-Fisher's sigma2 = 0 states below it
+    spec, dt = _REFERENCE_SPECS[name], 2e-3
+    v = np.tile([0.0, 1e-4, 2e-3, 0.05, 0.079, 0.08, 0.2, 0.45, 0.6, 0.99,
+                 1.0], 30)
+    a = {None: None, "scalar": 0.3,
+         "per_component": np.linspace(0.0, 0.5, v.size)}[inflow]
+    gen, ref_gen = substream(61, 1), substream(61, 1)
+    new = ref = v
+    for _ in range(25):
+        new, crossed = _step(spec, new, dt, gen, boundary, a, stop_level)
+        ref, ref_crossed = _masked_step(spec, ref, dt, ref_gen, boundary, a,
+                                        stop_level)
+        assert np.array_equal(new, ref)
+        assert np.array_equal(crossed, ref_crossed)
+    assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("mu_x, s2_x", [
+    (np.float64(0.0), np.float64(2.0)),      # Feller: the scalar constants
+    (np.float64(1.0), np.float64(2.0)),      # |b dt| < 1e-10
+    (np.float64(0.3), np.float64(0.0)),      # c <= 0: the drift ODE
+    (np.float64(-60.0), np.float64(1.0)),    # b dt = 61 clipped to 50 at dt 1
+    (None, None),                            # array ratios
+])
+@pytest.mark.parametrize("inflow", [0.0, 0.4, "per_component"])
+def test_exact_kernel_equals_the_masked_reference_bit_for_bit(mu_x, s2_x,
+                                                              inflow):
+    old = substream(62, 1).uniform(0.0, 0.1, 300)
+    if mu_x is None:
+        mu_x, s2_x = 1.0 - 10.0 * old, np.where(old < 0.05, 2.0, 0.0)
+    a = np.linspace(0.0, 0.5, old.size) if inflow == "per_component" \
+        else inflow
+    gen, ref_gen = substream(62, 2), substream(62, 2)
+    for dt in (1e-3, 1.0):
+        new = _exact_kernel(gen, old, a, mu_x, s2_x, dt)
+        ref = _masked_kernel(ref_gen, old, a, mu_x, s2_x, dt)
+        assert np.array_equal(new, ref)
     assert gen.random() == ref_gen.random()
 
 

@@ -39,6 +39,9 @@ from islandsim.virgin_island import (
     total_mass_reducer,
 )
 
+# a RuntimeWarning from the engines (an overflow, a division by 0) fails
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def logistic_spec():
     return CoefficientSpec(Logistic(1.0, 1.0), LinearDiffusion(1.0),
@@ -443,6 +446,24 @@ def test_tree_stats_dropped_births_take_no_slots():
     with pytest.raises(SolverError, match="Poisson mean") as err:
         sample_tree_stats(spec, (1.0,), 0.0, 1e-300, g, **kw)
     assert "slot" not in str(err.value)
+
+
+@pytest.mark.parametrize("cap, total, count, dropped", [
+    (0, 223.01855542583712, 772.0, 1025),    # every slot capped
+    (1, 292.64215780941106, 1107.0, 214),    # some slots capped
+    (50, 271.710872053846, 1082.0, 0),       # no slot capped
+])
+def test_tree_stats_totals_are_pinned(cap, total, count, dropped):
+    # the birth draws skip the capped-slot masks when all or no slots are
+    # capped; these are the engine's totals with the masks always applied
+    res = sample_tree_stats(critical_feller(), (0.3, 0.1), 1.0, 0.05,
+                            TimeGrid(0.0, 0.5, 2e-3), 7, 200, [125, 250],
+                            {"V": total_mass_reducer,
+                             "n": bin_count_reducer(0.05, 1.0)},
+                            tag=1, generation_cap=cap)
+    assert float(res["V"].sum()) == total
+    assert float(res["n"].sum()) == count
+    assert res["_dropped_births"] == dropped
 
 
 def test_bin_count_reducer():
