@@ -405,8 +405,8 @@ _DUALITY_FUZZ = {
 
 
 def _pairs_of_keys(values):
-    # one or two keys off the base config: every value, and every pair of
-    # values of two keys, is in reach of a small example budget
+    # one or two keys off a well-formed base config at a time, so a small
+    # example budget reaches each malformed value with the rest well-formed
     return st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=2,
                     unique=True).flatmap(lambda keys: st.fixed_dictionaries(
                         {k: st.sampled_from(values[k]) for k in keys}))
