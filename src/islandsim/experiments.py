@@ -596,6 +596,44 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 # identity suite
 # ---------------------------------------------------------------------------
 
+# q-mass splitting levels grow by _SPLIT_RATIO (stage hit probabilities near
+# 0.2, the fixed-effort optimum) where a step's sd sqrt(sigma2(y) dt) is at
+# most _SPLIT_SD * y; below, node-only crossing detection biases a stage low.
+_SPLIT_RATIO = 5.0
+_SPLIT_SD = 0.25
+
+
+def _split_levels(spec, eps, delta, dt, s_ends, replicates):
+    """Levels eps = L_0 < ... < L_K = delta and the launches per stage.
+
+    Inner levels: start * _SPLIT_RATIO**j < delta (at most replicates - 1),
+    start = max(eps, L_min), j from 1 if start == eps, else 0; L_min is the
+    smallest level the step resolves (geometric bisection on sigma2).
+    Launches: sqrt((1 - p_j)/p_j), p_j = S(L_j)/S(L_j+1), s_ends = (S(eps),
+    S(delta)); one at least each, `replicates` in all (largest remainders).
+    """
+    def resolved(y):  # max: a custom sigma2 may dip below 0
+        return math.sqrt(max(float(spec.sigma2(y)), 0.0) * dt) <= _SPLIT_SD * y
+
+    lo, floor = eps, eps if resolved(eps) else delta
+    if floor > eps and resolved(delta):  # bisect the floor in (eps, delta]
+        while lo < (mid := math.sqrt(lo) * math.sqrt(floor)) < floor:
+            lo, floor = (lo, mid) if resolved(mid) else (mid, floor)
+    level, mids = floor if floor > eps else eps * _SPLIT_RATIO, []
+    while level < delta and len(mids) < replicates - 1:
+        if resolved(level):
+            mids.append(level)
+        level *= _SPLIT_RATIO
+    s = [s_ends[0]] + [scale_function(spec, y) for y in mids] + [s_ends[1]]
+    w = [math.sqrt(b / a - 1.0) for a, b in zip(s, s[1:])]
+    ideal = [(replicates - len(w)) * x / sum(w) for x in w]
+    launches = [1 + int(x) for x in ideal]
+    by_remainder = sorted(range(len(w)), key=lambda j: int(ideal[j]) - ideal[j])
+    for j in by_remainder[:replicates - sum(launches)]:
+        launches[j] += 1
+    return [eps] + mids + [delta], launches
+
+
 def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """Three excursion-measure identities at MC resolution.
 
@@ -604,6 +642,12 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
         P^eps(T_delta < T_0)/S(eps);
     (c) snapshot of a stationary immigration point process (first-generation
         islands only) against theta * m(dy) on bins, chi-square distance.
+
+    (b) splits the launches (strong Markov property): the hit probability is
+    the product of the hit fractions p_j of the stages L_j -> L_j+1 of
+    `_split_levels`, SE sqrt(sum_j (se_j prod_{i!=j} p_i)^2).  Stage 0 draws
+    from tag 32, stage j >= 1 from tag 100 + j (no other run's).  One stage
+    is the plain estimator; a split run adds levels, launches, hit_fraction.
     """
     spec = cfg.spec
     dt = cfg.grid.dt
@@ -626,11 +670,19 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
     rel_gap_a = mc_area / theta_quad - 1.0
     censored_a = int(st.censored)
 
-    q_quad = 1.0 / scale_function(spec, cfg.delta)
-    st_b = single_batch_stats(spec, eps, dt, cfg.seed, cfg.replicates, tag=32,
-                              max_steps=max_steps, stop_level=cfg.delta,
-                              boundary=cfg.boundary)
-    hit_mean, hit_se = _mean_se(st_b.hit.astype(float))
+    s_delta = scale_function(spec, cfg.delta)
+    q_quad = 1.0 / s_delta
+    levels, launches = _split_levels(spec, eps, cfg.delta, dt,
+                                     (s_eps, s_delta), cfg.replicates)
+    stages = [_mean_se(single_batch_stats(
+        spec, levels[j], dt, cfg.seed, n, tag=32 if j == 0 else 100 + j,
+        max_steps=max_steps, stop_level=levels[j + 1],
+        boundary=cfg.boundary).hit.astype(float))
+        for j, n in enumerate(launches)]
+    p_hat = [p for p, _ in stages]
+    hit_mean = math.prod(p_hat)
+    hit_se = math.hypot(*(se * math.prod(p_hat[:j] + p_hat[j + 1:])
+                          for j, (_, se) in enumerate(stages)))
     mc_q = hit_mean / s_eps
     rel_gap_b = mc_q / q_quad - 1.0
 
@@ -663,10 +715,13 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
         ("speed_snapshot_chi2", chi2_crit, chi2, 0.0,
          chi2 / chi2_crit - 1.0, chi2 <= chi2_crit),
     ]
+    q_metrics = {"quadrature": q_quad, "mc": mc_q, "rel_gap": rel_gap_b}
+    if len(launches) > 1:
+        q_metrics.update(levels=levels, launches=launches, hit_fraction=p_hat)
     metrics = {
         "area": {"quadrature": theta_quad, "mc": mc_area,
                  "rel_gap": rel_gap_a, "censored": censored_a},
-        "q_mass": {"quadrature": q_quad, "mc": mc_q, "rel_gap": rel_gap_b},
+        "q_mass": q_metrics,
         "speed_snapshot": {"chi2": chi2, "dof": dof, "crit_99": chi2_crit,
                            "bins": [{"lo": a, "hi": b, "observed": o,
                                      "se": s, "expected": e}

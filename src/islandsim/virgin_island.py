@@ -253,6 +253,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
         rep = np.repeat(np.arange(r), roots.size)
         val = np.tile(roots, r)
         gens = np.zeros(rep.size, dtype=np.int64)
+        top = 0  # no slot's generation exceeds it
         if recorder is not None:
             recorder.step(0, rep, val, gens, None)
         for k in range(n + 1):
@@ -263,13 +264,16 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
             if k == n:
                 break
             # births from the pre-step values, landing at node k+1
-            capped = gens >= generation_cap
-            if capped.all():  # generation_cap 0: no slot gives birth
+            if generation_cap <= 0:  # no slot gives birth
                 cum, mass, capped_mass = None, 0.0, float(val.sum())
-            else:  # the mask only where some slots are capped
-                cum = np.cumsum(np.where(capped, 0.0, val) if capped.any()
-                                else val)
-                mass, capped_mass = float(cum[-1]), float(val[capped].sum())
+            else:
+                if top < generation_cap:  # no slot is capped
+                    cum, capped_mass = np.cumsum(val), 0.0
+                else:  # capped slots weigh 0 as mothers
+                    capped = gens >= generation_cap
+                    cum = np.cumsum(np.where(capped, 0.0, val))
+                    capped_mass = float(val[capped].sum())
+                mass = float(cum[-1]) if cum.size else 0.0
             new_slots = birth_rate * mass + r * imm_lam
             if new_slots > SLOT_BUDGET // island_bytes:  # before any draw
                 raise _slot_error(rep.size + new_slots, (k + 1) * dt,
@@ -292,6 +296,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
                 if n_born:
                     rep_parts.append(rep[mothers])
                     gen_parts.append(gens[mothers] + 1)
+                    top = max(top, int(gen_parts[-1].max()))
                 if n_imm:
                     rep_parts.append(imm_rep)
                     gen_parts.append(np.zeros(n_imm, dtype=np.int64))

@@ -381,15 +381,17 @@ def test_tree_fuzzed_config_keeps_the_exit_contract(tmp_path_factory, extra):
 
 
 # identities and duality values per key, well-formed or not; the budgets
-# stay tiny (100 replicates, 10 steps, a few particles), so a run takes
-# milliseconds
+# stay tiny (about 100 replicates, 10 to 1000 steps, a few particles), so a
+# run takes milliseconds
 _IDENTITIES_FUZZ = {
     "eps": (1e-3, 0.02, None, 0.0, -1e-3, 0.1, 0.5, math.nan, math.inf, "x"),
     "delta": (0.1, 0.3, None, 0.0, 1e-300, -1.0, math.nan, math.inf, "x"),
     "bin_edges": ([0.3, 0.5], [0.3, 1.0, math.inf], None, [0.5, 0.3],
                   [0.05, 0.5], [0.3, math.nan], [], "x"),
-    "dt": (0.01, 0.02, None, 0.0, 0.03, math.nan, math.inf, "x"),
+    # 1e-3 and 1e-4 put the splitting floor 32 beta dt inside (eps, delta)
+    "dt": (0.01, 0.02, 1e-3, 1e-4, None, 0.0, 0.03, math.nan, math.inf, "x"),
     "horizon": (0.1, 0.2, None, 0.0, -1.0, math.inf, "x"),
+    "replicates": (100, 101, 99, 0, 2.5, "x"),
 }
 _DUALITY_FUZZ = {
     "n_part": (2, 5, 0, 1, -3, 2.5, math.nan, "x"),

@@ -10,6 +10,7 @@ from scipy import stats
 from islandsim import (
     CoefficientSpec,
     ConfigError,
+    CustomDiffusion,
     DomainInterval,
     ExpDecreasingConcave,
     ExperimentConfig,
@@ -17,6 +18,7 @@ from islandsim import (
     LinearDrift,
     Logistic,
     MixedMonomial,
+    PiecewisePolynomial,
     PowerDiffusion,
     SmoothedStep,
     TimeGrid,
@@ -28,7 +30,10 @@ from islandsim import (
     run_identity_suite,
     tent,
 )
-from islandsim.experiments import _chi2_ppf, config_hash, snapshot_config
+from islandsim.analytics import scale_function
+from islandsim.experiments import (_SPLIT_SD, _chi2_ppf, _split_levels,
+                                   config_hash, snapshot_config)
+from islandsim.sde import single_batch_stats
 
 
 def logistic_spec():
@@ -161,6 +166,106 @@ def test_identity_report_and_se_shrink():
     se_col = 3
     assert rep_b.rows[0][se_col] < 0.8 * rep_s.rows[0][se_col]
     assert rep_b.rows[1][se_col] < 0.8 * rep_s.rows[1][se_col]
+
+
+def _levels(spec, eps, delta, dt, replicates):
+    ends = (scale_function(spec, eps), scale_function(spec, delta))
+    return _split_levels(spec, eps, delta, dt, ends, replicates)
+
+
+@pytest.mark.parametrize("spec, eps, delta, dt, replicates, inner", [
+    (feller_spec(), 1e-3, 0.1, 1e-3, 30000, 1),   # floor 32 beta dt = 0.032
+    (feller_spec(), 1e-3, 0.1, 1e-4, 1000, 3),    # 0.0032, 0.016, 0.08
+    (feller_spec(), 0.05, 10.0, 1e-3, 100, 3),    # eps resolved: 0.25, ...
+    (feller_spec(), 1e-3, 0.1, 1e-2, 100, 0),     # floor 0.32 above delta
+    (feller_spec(), 1e-6, 400.0, 1e-3, 100, 6),   # 0.032 ... 100
+    (feller_spec(), 1e-6, 400.0, 1e-3, 3, 2),     # replicates stages at most
+    (CoefficientSpec(LinearDrift(0.0), WrightFisher(),
+                     DomainInterval(upper=1.0)), 1e-3, 0.9, 1e-3, 500, 3),
+    (CoefficientSpec(Logistic(1.0, 1.0), PowerDiffusion(2.0, 1.5)),
+     1e-3, 0.5, 1e-3, 500, 4),                 # floor 0.032**2
+])
+def test_split_levels_stay_above_the_floor_the_step_resolves(
+        spec, eps, delta, dt, replicates, inner):
+    levels, launches = _levels(spec, eps, delta, dt, replicates)
+    assert levels[0] == eps and levels[-1] == delta
+    assert all(b > a for a, b in zip(levels, levels[1:]))
+    assert len(levels) == inner + 2 and len(launches) == inner + 1
+    assert sum(launches) == replicates and min(launches) >= 1
+
+    def resolved(y):
+        return math.sqrt(float(spec.sigma2(y)) * dt) <= _SPLIT_SD * y
+    assert all(resolved(y) for y in levels[1:-1])
+    if inner and not resolved(eps):  # the first inner level is the floor
+        assert not resolved(levels[1] * (1.0 - 1e-12))
+    if isinstance(spec.diffusion, LinearDiffusion):
+        floor = 32.0 * spec.diffusion.beta * dt
+        assert all(y >= floor * (1.0 - 1e-12) for y in levels[1:-1])
+
+
+def test_split_levels_take_a_custom_sigma2_below_zero():
+    # a custom sigma2 may dip below 0 on a piece; the floor test must not
+    # raise there (identities exits 0 on such a config)
+    poly = PiecewisePolynomial((0.0, 0.04, 0.05),
+                               ((0.0, 2.0), (-0.01,), (0.0, 2.0)))
+    spec = CoefficientSpec(LinearDrift(0.0), CustomDiffusion(poly))
+    levels, launches = _levels(spec, 1e-3, 0.1, 1e-3, 200)
+    assert all(b > a for a, b in zip(levels, levels[1:]))
+    assert sum(launches) == 200 and min(launches) >= 1
+
+
+def test_split_launches_follow_the_stage_hit_odds():
+    # one launch each, the rest in proportion to sqrt((1 - p_j)/p_j),
+    # p_j = S(L_j)/S(L_j+1), rounded by largest remainders
+    spec = feller_spec()
+    levels, launches = _levels(spec, 1e-3, 0.1, 1e-4, 10_000)
+    s = [scale_function(spec, y) for y in levels]
+    odds = np.sqrt([b / a - 1.0 for a, b in zip(s, s[1:])])
+    ideal = (10_000 - odds.size) * odds / odds.sum()
+    assert np.all(np.abs(np.asarray(launches) - 1 - ideal) < 1.0)
+
+
+def test_identities_without_an_admissible_level_is_the_plain_estimator():
+    # dt 1e-2 puts the floor (0.32) above delta: one stage, tag 32, eps
+    # launches, and the row and metrics of the unsplit estimator exactly
+    cfg = base_cfg(feller_spec(), replicates=500, theta=1.0, eps=1e-3,
+                   grid=TimeGrid(0.0, 1.0, 0.01))
+    rep = run_identity_suite(cfg)
+    s_eps = scale_function(cfg.spec, 1e-3)
+    q_quad = 1.0 / scale_function(cfg.spec, 0.1)
+    hit = single_batch_stats(cfg.spec, 1e-3, 0.01, 17, 500, tag=32,
+                             max_steps=100, stop_level=0.1).hit
+    p = float(hit.mean())
+    se = float(hit.std(ddof=1) / math.sqrt(500))
+    gap = p / s_eps / q_quad - 1.0
+    assert rep.rows[1] == ("q_mass_identity", q_quad, p / s_eps, se / s_eps,
+                           gap, abs(gap) <= 0.05)
+    assert rep.metrics["q_mass"] == {"quadrature": q_quad, "mc": p / s_eps,
+                                     "rel_gap": gap}
+
+
+def test_split_q_mass_matches_the_plain_estimator_on_feller():
+    # dt 1e-3: levels 1e-3, 0.032, 0.1.  The stage to the floor is unbiased
+    # against the exact S(eps)/S(0.032), and the split estimate agrees with
+    # plain eps launches at the same budget
+    n = 20_000
+    cfg = base_cfg(feller_spec(), replicates=n, theta=1.0, eps=1e-3,
+                   grid=TimeGrid(0.0, 1.0, 1e-3), seed=5)
+    rep = run_identity_suite(cfg)
+    q = rep.metrics["q_mass"]
+    levels, launches = q["levels"], q["launches"]
+    assert len(levels) == 3 and sum(launches) == n
+    p0 = q["hit_fraction"][0]
+    exact = scale_function(cfg.spec, 1e-3) / scale_function(cfg.spec, levels[1])
+    assert abs(p0 - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / launches[0])
+    split_se = rep.rows[1][3]
+    hit = single_batch_stats(cfg.spec, 1e-3, 1e-3, 6, n, tag=32,
+                             max_steps=1000, stop_level=0.1).hit
+    s_eps = scale_function(cfg.spec, 1e-3)
+    plain = float(hit.mean()) / s_eps
+    plain_se = float(hit.std(ddof=1)) / math.sqrt(n) / s_eps
+    assert split_se < plain_se
+    assert abs(q["mc"] - plain) <= 4.0 * math.hypot(split_se, plain_se)
 
 
 def test_chi2_quantile_is_scipy_stats_bit_for_bit():
