@@ -55,7 +55,6 @@ from .virgin_island import (
     build_tree,
     export_spectrum_csv,
     export_tree_csv,
-    sample_excursion,
     sample_tree_stats,
 )
 from .mean_field import (

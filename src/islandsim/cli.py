@@ -24,7 +24,7 @@ from .experiments import (ExperimentConfig, ExperimentReport,
                           run_convergence, run_duality, run_identity_suite,
                           snapshot_config)
 from .sde import (MigrationMatrix, TimeGrid, export_path_csv, simulate_single,
-                  simulate_system)
+                  simulate_system, write_csv)
 from .virgin_island import build_tree, export_spectrum_csv, export_tree_csv
 
 __all__ = ["cli_main", "main"]
@@ -112,8 +112,12 @@ def _topology_from(raw):
 
 
 def _scalar(raw: dict, key: str, kind, default):
-    """raw[key] (or default) converted by kind; a bad value names the key."""
+    """raw[key] (or default) converted by kind; a bad value names the key.
+
+    An integer key takes only a JSON integer: int() would truncate 2.9."""
     value = raw.get(key)
+    if kind is int and value is not None and not _has_type(value, "an integer"):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return default if value is None else kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -155,10 +159,7 @@ def _cmd_analyze(raw, spec, args) -> int:
     csv_path, _ = report.write(args.out)
     curve = report.metrics["survival"]
     surv = os.path.join(args.out, "survival.csv")
-    with open(surv, "w", newline="") as fh:
-        fh.write("y,extinction_prob\n")
-        for y, p in curve:
-            fh.write(f"{y!r},{p!r}\n")
+    write_csv(surv, ("y", "extinction_prob"), curve)
     for name, value in report.rows:
         print(f"{name},{value!r}" if isinstance(value, float)
               else f"{name},{value}")

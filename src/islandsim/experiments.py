@@ -31,7 +31,7 @@ from .coefficients import (CoefficientSpec, LinearDiffusion, Logistic,
 from .exceptions import ConfigError
 from .mean_field import duality_gap
 from .sde import (MigrationMatrix, TimeGrid, _check_boundary, _report_nodes,
-                  sample_system_stats, single_batch_stats)
+                  sample_system_stats, single_batch_stats, write_csv)
 from .virgin_island import bin_count_reducer, sample_tree_stats, total_mass_reducer
 
 __all__ = [
@@ -271,14 +271,6 @@ def config_hash(snapshot: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -297,10 +289,7 @@ class ExperimentReport:
         """Write <stem>.csv and <stem>.json; returns both paths."""
         json_path = self.write_json(out_dir, stem)
         csv_path = json_path[:-len(".json")] + ".csv"
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        write_csv(csv_path, self.columns, self.rows)
         return csv_path, json_path
 
     def write_json(self, out_dir: str, stem: str | None = None) -> str:

@@ -21,7 +21,6 @@ SINGLE = 1
 SYSTEM = 3
 LEVELS = 4
 LOOP_FREE = 5
-EXCURSION = 6
 TREE = 7
 MEAN_FIELD = 8
 EXPERIMENT = 9
@@ -38,16 +37,3 @@ def substream(seed: int, *key: int) -> np.random.Generator:
         raise ValueError("stream key components must be nonnegative integers")
     ss = np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def mix(seed: int, *key: int) -> int:
-    """Derive a fresh master seed from (seed, key).
-
-    For engines nested inside keyed contexts (an engine that itself fans out
-    substreams gets a mixed seed so its internal keys cannot collide with the
-    caller's).
-    """
-    if not all(int(k) >= 0 for k in key):
-        raise ValueError("stream key components must be nonnegative integers")
-    ss = np.random.SeedSequence((int(seed), 0xA5) + tuple(int(k) for k in key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])

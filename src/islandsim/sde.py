@@ -3,8 +3,8 @@
 Stepping rule: Euler steps of dY = (a - Y + mu(Y)) dt + sqrt(sigma2(Y)) dB,
 kept in [0, upper]; under the default "exact" handling, a component below
 `switch_level(dt)` takes the exact transition of the locally linearized
-model (`_exact_inflow_substep`) instead.  Both coefficients vanish at 0, so
-a state that reaches 0 with no inflow stays exactly 0.
+model (`_exact_kernel`) instead.  Both coefficients vanish at 0, so a state
+that reaches 0 with no inflow stays exactly 0.
 
 Boundary handling at 0.  The plain clamp ("clip") is disastrously biased
 where 0 is absorbing: paths that ought to die keep getting reflected up (at
@@ -21,15 +21,13 @@ bias that inflates a whole system's mass.
 One vector step.  An island of a system, an excursion and a mean-field
 particle all run the same equation; only the inflow a differs: the routed
 mass plus theta/N in a system, none on an excursion or a single island
-(0 absorbs), the mean E M_t in the mean field.  The batch engines
+(0 absorbs), the mean E M_t in the mean field.  Every such step is `_step`,
+which draws nothing for absorbed components: the batch engines
 (`single_batch_stats`, `virgin_island.sample_tree_stats`, the exact branch
-of the mean-field solver) and both system ops take every such step through
-`_step`, which draws nothing for absorbed components; the level split alone
-calls `_exact_inflow_substep` on every component.  The object-level
-single-island ops (`simulate_single` and `virgin_island.sample_excursion`)
-use the scalar loop `_single_path`, about 4-6x cheaper per step than the
-vector step on 1-element arrays; its exact branch is `_exact_inflow_substep`
-with inflow 0 in scalar form, consuming the same draws.
+of the mean-field solver), both system ops in every mode, and
+`simulate_single`, which loops it over a 1-element array.  The level split
+passes `_step` frozen coefficient ratios, the island totals' mu/x and
+sigma2/x, in place of the ratios of each component's own value.
 
 Island systems.  One op, `simulate_system`, runs a system under uniform
 (island count) or matrix migration with immigration theta/N in three modes:
@@ -42,7 +40,7 @@ LevelSystemPath) draw from one stream: (seed, SINGLE, 0) for
 `simulate_single`, (seed, mode purpose) for `simulate_system`.  A system
 path's draws are therefore not keyed by island: adding an island or raising
 the level cap changes the noise every component sees.  Per-island keys
-would need a per-component scalar loop, a third copy of the step, and no
+would need a per-component scalar loop, a second copy of the step, and no
 caller relies on them.  Object-level ops refuse (ConfigError) a stored path
 over 256 MB.  The batch Monte Carlo engines trade that for throughput:
 replicates are processed in fixed-size chunks, each chunk fed by its own
@@ -303,14 +301,15 @@ def _euler(v, rate, s2dt, noise, dt: float) -> np.ndarray:
 
 def _system_step(spec: CoefficientSpec, topology, theta: float, v: np.ndarray,
                  mode: str, dt: float, gen):
-    """One exact system step; returns (new state, rate out of the cap).
+    """One exact system step, `_step` with the inflow; returns (new state,
+    rate out of the cap).
 
-    "levels" takes the inflow-aware local kernel on every component (its
-    proportional coefficient sharing matches the linear-ratio form the kernel
-    freezes), the other modes `_step` with the inflow.  Levels are capped one
-    by one, so on a bounded domain their sum can pass `upper` (and
-    Wright-Fisher sigma2(sum) turn negative); such an island's levels are
-    scaled by upper / sum, the others multiplied by exactly 1.
+    "levels" shares the island totals' coefficients out in proportion: each
+    level steps with the ratios mu(tot)/tot and sigma2(tot)/tot of its
+    island, the linear-ratio form the exact kernel freezes.  Levels are
+    capped one by one, so on a bounded domain their sum can pass `upper`
+    (and Wright-Fisher sigma2(sum) turn negative); such an island's levels
+    are scaled by upper / sum, the others multiplied by exactly 1.
     """
     upper = spec.domain.upper
     inflow, lost = _system_inflow(topology, theta, v, mode != "unsplit")
@@ -318,9 +317,8 @@ def _system_step(spec: CoefficientSpec, topology, theta: float, v: np.ndarray,
         v, _ = _step(spec, v, dt, gen, "exact", inflow)
         return v, lost
     tot = v.sum(axis=-2, keepdims=True)
-    v = np.minimum(_exact_inflow_substep(
-        gen, v, inflow, spec.mu_over_x(tot), spec.sigma2_over_x(tot), dt),
-        upper)
+    v, _ = _step(spec, v, dt, gen, "exact", inflow,
+                 ratios=(spec.mu_over_x(tot), spec.sigma2_over_x(tot)))
     tot = v.sum(axis=-2, keepdims=True)
     while (tot > upper).any():  # a rescaled sum can round an ulp high
         v = v * (upper / np.maximum(tot, upper))
@@ -338,58 +336,22 @@ def simulate_single(spec: CoefficientSpec, x0: float, grid: TimeGrid,
 
     0 is absorbing here; `boundary` selects its handling as in
     `single_batch_stats` ("exact" hybrid default, "bridge", or "clip").
-    The path is 0 from its absorption node on.
+    Every step is `_step` on a 1-element array, drawing from the stream
+    (seed, SINGLE, 0).  The path is 0 from its absorption node on.
     """
     _check_x0(spec, x0)
     _check_boundary(boundary)
     _check_storage(grid, 1)
-    values, _ = _single_path(spec, x0, grid.dt, grid.n_steps,
-                             rngmod.substream(seed, rngmod.SINGLE, 0), boundary)
-    return Path(grid, np.pad(values, (0, grid.n_steps + 1 - values.size)))
-
-
-def _single_path(spec: CoefficientSpec, x0: float, dt: float, n_max: int,
-                 gen: np.random.Generator, boundary: str):
-    """Scalar single-island path from x0 until absorption or n_max steps.
-
-    Returns (values, censored): values[0] = x0 and, unless censored, the last
-    entry is exactly 0 (the absorption node).
-    """
-    upper = spec.domain.upper
-    y_switch = switch_level(dt, None, upper) if boundary == "exact" else 0.0
-    sdt = math.sqrt(dt)
-    buf = np.empty(n_max + 1)
-    buf[0] = v = float(x0)
-    n = 0
-    for n in range(1, n_max + 1):
-        if 0.0 < v < y_switch:
-            b = 1.0 - float(spec.mu_over_x(v))
-            c = float(spec.sigma2_over_x(v))
-            bdt = min(max(b * dt, -50.0), 50.0)
-            if c <= 0.0:
-                v = min(v * math.exp(-bdt), upper)
-            else:
-                em = -math.expm1(-bdt)
-                f = c * dt * 0.25 * (1.0 - 0.5 * bdt) if abs(bdt) < 1e-10 \
-                    else c * em / (4.0 * b)
-                k = int(gen.poisson(v * math.exp(-bdt) / (2.0 * f)))
-                v = min(float(gen.gamma(k, 2.0 * f)), upper) if k else 0.0
-        else:
-            s2 = float(spec.sigma2(v))
-            w = v + (-v + float(spec.mu(v))) * dt \
-                + math.sqrt(s2) * sdt * float(gen.standard_normal())
-            if boundary == "clip":
-                v = min(max(w, 0.0), upper)
-            elif w <= 0.0 or (s2 > 0.0 and v > 0.0 and float(gen.random())
-                              < math.exp(-2.0 * v * w / (s2 * dt))):
-                v = 0.0
-            else:
-                v = min(w, upper)
-        buf[n] = v
-        if v == 0.0:
+    gen = rngmod.substream(seed, rngmod.SINGLE, 0)
+    values = np.zeros(grid.n_steps + 1)
+    v = np.array([float(x0)])
+    values[0] = v[0]
+    for n in range(1, grid.n_steps + 1):
+        if v[0] == 0.0:
             break
-    buf.resize(n + 1, refcheck=False)  # trims in place: a long path is not copied
-    return buf, v > 0.0
+        v, _ = _step(spec, v, grid.dt, gen, boundary)
+        values[n] = v[0]
+    return Path(grid, values)
 
 
 def simulate_system(spec: CoefficientSpec, topology, theta: float, x0,
@@ -440,8 +402,8 @@ def simulate_system(spec: CoefficientSpec, topology, theta: float, x0,
 # batch Monte Carlo engines (streaming, chunked)
 # ---------------------------------------------------------------------------
 
-def _exact_inflow_substep(gen: np.random.Generator, old: np.ndarray,
-                          inflow, mu_x, s2_x, dt: float) -> np.ndarray:
+def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
+                  s2_x, dt: float) -> np.ndarray:
     """Exact step of the locally linearized diffusion with constant inflow.
 
     Freezing mu(y)/y, sigma2(y)/y and the inflow a over the step gives
@@ -451,32 +413,13 @@ def _exact_inflow_substep(gen: np.random.Generator, old: np.ndarray,
     sampled as Gamma(2a/c + K, 2f), K ~ Poisson(old e^{-b dt} / (2f)).
     a = 0 keeps 0 absorbing (K = 0 is the atom at 0); a > 0 makes 0 an
     entrance point, with no clipping bias.  Rows with c <= 0 follow the
-    drift ODE.  inflow, mu_x and s2_x broadcast against old.
+    drift ODE.
 
-    Absorbed components (old == 0, a == 0) are set to 0 without a draw.  The
-    stream is the same as if they were drawn for: numpy's Poisson(0) and
-    Gamma(shape 0) return 0 without consuming bits.  The live ones go to
-    `_exact_kernel`, which `_step` calls directly.
-    """
-    live = (old > 0.0) | (inflow > 0.0)
-    if live.all():
-        return _exact_kernel(gen, old, inflow, mu_x, s2_x, dt)
-    new = np.zeros(old.shape)
-    if live.any():
-        new[live] = _exact_kernel(
-            gen, old[live], *(np.broadcast_to(x, old.shape)[live]
-                              for x in (inflow, mu_x, s2_x)), dt)
-    return new
-
-
-def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
-                  s2_x, dt: float) -> np.ndarray:
-    """`_exact_inflow_substep` on live components (old > 0 or inflow > 0).
-
-    mu_x and s2_x broadcast against old: 0-d for a constant ratio, island
-    ratios of shape (r, 1, islands) in the level split.  Both 0-d (Feller):
-    b dt, 2f and e^{-b dt} are scalars from the same numpy expm1/exp; only
-    |b dt| < 1e-10 or c <= 0 takes the array form.
+    Takes live components only (old > 0 or inflow > 0); `_step` skips the
+    absorbed ones.  inflow, mu_x and s2_x are 0-d or one entry per
+    component.  Both ratios 0-d (Feller): b dt, 2f and e^{-b dt} are scalars
+    from the same numpy expm1/exp; only |b dt| < 1e-10 or c <= 0 takes the
+    array form.
     """
     b = 1.0 - mu_x
     c = s2_x
@@ -512,13 +455,16 @@ def _exact_kernel(gen: np.random.Generator, old: np.ndarray, inflow, mu_x,
 
 def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
           gen: np.random.Generator, boundary: str, inflow=None,
-          stop_level: float | None = None):
+          stop_level: float | None = None, ratios=None):
     """One step of the components of v; returns (new, crossed).
 
     inflow broadcasts against v; None means no inflow, and 0 absorbing.
+    ratios, when given, is a pair (mu_x, s2_x) broadcasting against v: the
+    frozen mu(y)/y and sigma2(y)/y of every component, so mu = v mu_x and
+    sigma2 = v s2_x; None evaluates spec at v.
     Components at 0 with no inflow stay 0 and take no draw.  Live ones below
     `switch_level(dt, stop_level, upper)` ("exact" only) take
-    `_exact_inflow_substep`, the rest an Euler step from v to w, clamped into
+    `_exact_kernel`, the rest an Euler step from v to w, clamped into
     [0, upper] with an inflow or under "clip".  Otherwise the bridge tests
     follow.  One test kills: u < exp(-2 v max(w, 0) / (sigma2(v) dt)), the
     touch probability, which is 1 (so kills) where w <= 0; a component with
@@ -548,12 +494,18 @@ def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
     a_hi = a_lo = 0.0 if inflow is None else inflow
     if per_component:
         a_hi, a_lo = inflow[hi], inflow[lo]
+    if ratios is not None:
+        mu_x, s2_x = (np.broadcast_to(r, v.shape).ravel() for r in ratios)
     new = np.zeros(flat.shape)
     up = None if stop_level is None else np.zeros(flat.shape, dtype=bool)
     if hi.size:
         vh = flat[hi]
-        s2dt = spec.sigma2(vh) * dt
-        drift = spec.mu(vh)
+        if ratios is None:
+            s2dt = spec.sigma2(vh) * dt
+            drift = spec.mu(vh)
+        else:
+            s2dt = vh * s2_x[hi] * dt
+            drift = vh * mu_x[hi]
         w = _euler(vh, drift - vh if inflow is None else a_hi - vh + drift,
                    s2dt, gen.standard_normal(hi.size), dt)
         if bounded:
@@ -579,8 +531,11 @@ def _step(spec: CoefficientSpec, v: np.ndarray, dt: float,
         new[hi] = wp
     if lo.size:
         vl = flat[lo]
-        x = _exact_kernel(gen, vl, a_lo, spec.mu_over_x(vl),
-                          spec.sigma2_over_x(vl), dt)
+        if ratios is None:
+            mx, sx = spec.mu_over_x(vl), spec.sigma2_over_x(vl)
+        else:
+            mx, sx = mu_x[lo], s2_x[lo]
+        x = _exact_kernel(gen, vl, a_lo, mx, sx, dt)
         new[lo] = np.minimum(x, upper) if bounded else x
     new = new.reshape(v.shape)
     if stop_level is None:
@@ -625,8 +580,7 @@ def switch_level(dt: float, stop_level: float | None = None,
 def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
                        replicates: int, tag: int, max_steps: int,
                        stop_level: float | None = None,
-                       boundary: str = "exact",
-                       chunk: int = CHUNK) -> SingleBatchStats:
+                       boundary: str = "exact") -> SingleBatchStats:
     """Simulate `replicates` independent single islands from x0 until each is
     absorbed at 0, reaches stop_level (recorded in `hit`, then stopped), or
     exhausts max_steps (counted as censored).
@@ -645,9 +599,9 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
     _check_boundary(boundary)
     areas, peaks, hits = [], [], []
     censored = 0
-    n_chunks = (replicates + chunk - 1) // chunk
+    n_chunks = (replicates + CHUNK - 1) // CHUNK
     for ci in range(n_chunks):
-        b = min(chunk, replicates - ci * chunk)
+        b = min(CHUNK, replicates - ci * CHUNK)
         gen = rngmod.substream(seed, rngmod.EXPERIMENT, tag, ci)
         area = np.zeros(b)
         peak = np.full(b, float(x0))
@@ -728,19 +682,41 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
 # CSV export
 # ---------------------------------------------------------------------------
 
+def _fmt(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    return str(v)
+
+
+def write_csv(path: str, columns, rows) -> None:
+    """Write the header `columns` and one line per row of `rows`.
+
+    The one CSV format of the package: fields joined by commas, unquoted,
+    floats as repr, booleans as true/false, LF line ends.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
 def export_path_csv(obj, fname: str) -> None:
     """Write t,island,level,value rows; level -1 carries the unsplit view."""
     if not isinstance(obj, (Path, SystemPath, LevelSystemPath)):
         raise ConfigError(f"cannot export {type(obj).__name__}")
-    times = [float(t) for t in obj.grid.times()]
+    times = obj.grid.times().tolist()
     split = isinstance(obj, LevelSystemPath)
-    unsplit = obj.values.sum(axis=1) if split \
-        else obj.values.reshape(len(times), -1)
-    with open(fname, "w") as fh:
-        fh.write("t,island,level,value\n")
+    unsplit = (obj.values.sum(axis=1) if split
+               else obj.values.reshape(len(times), -1)).tolist()
+    levels = obj.values.transpose(0, 2, 1).tolist() if split else None
+
+    def rows():
         for k, t in enumerate(times):
-            for i in range(unsplit.shape[1]):
-                fh.write(f"{t!r},{i},-1,{float(unsplit[k, i])!r}\n")
-                for lev in range(obj.values.shape[1] if split else 0):
-                    fh.write(f"{t!r},{i},{lev},"
-                             f"{float(obj.values[k, lev, i])!r}\n")
+            for i, total in enumerate(unsplit[k]):
+                yield t, i, -1, total
+                for lev, value in enumerate(levels[k][i] if split else ()):
+                    yield t, i, lev, value
+
+    write_csv(fname, ("t", "island", "level", "value"), rows())

@@ -1,12 +1,13 @@
-"""Excursion sampling and virgin-island trees.
+"""Virgin-island trees: the tree of excursions.
 
 An excursion is a single-island path started at the height cutoff delta and
 run to absorption; the excursion measure restricted to {sup >= delta} has
-total mass 1/S(delta) and, normalized, is the law sampled here (strong Markov
-at the first delta-crossing makes the post-crossing path independent of the
-approach from below).  Trees are populated by immigrant excursions (rate
-theta/S(delta)), by root paths started at the initial masses, and by daughter
-excursions born from each island at rate chi_{t-s}/S(delta).
+total mass 1/S(delta) and, normalized, is the law of such a path (strong
+Markov at the first delta-crossing makes the post-crossing path independent
+of the approach from below), so one excursion is `sde.simulate_single`
+started at delta.  Trees are populated by immigrant excursions (rate
+theta/S(delta)), by root paths started at the initial masses, and by
+daughter excursions born from each island at rate chi_{t-s}/S(delta).
 
 One engine grows trees: `sample_tree_stats` advances many replicate trees
 on a shared clock as flat slot arrays, reducing functionals of the island
@@ -17,7 +18,6 @@ total mass at every node.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -27,14 +27,13 @@ from . import rng as rngmod
 from .analytics import scale_function
 from .coefficients import CoefficientSpec
 from .exceptions import ConfigError, SolverError
-from .sde import (Path, TimeGrid, _check_boundary, _check_storage,
-                  _report_nodes, _single_path, _step, single_batch_stats)
+from .sde import (TimeGrid, _check_boundary, _check_storage, _report_nodes,
+                  _step, write_csv)
 
 __all__ = [
-    "Excursion", "VirginIslandTree", "SpectrumSnapshot",
-    "excursion_mass_above", "sample_excursion", "build_tree",
-    "sample_tree_stats", "total_mass_reducer", "bin_count_reducer",
-    "export_tree_csv", "export_spectrum_csv",
+    "VirginIslandTree", "SpectrumSnapshot", "excursion_mass_above",
+    "build_tree", "sample_tree_stats", "total_mass_reducer",
+    "bin_count_reducer", "export_tree_csv", "export_spectrum_csv",
 ]
 
 TREE_CHUNK = 4096  # replicates per chunk in the ensemble engine
@@ -57,76 +56,6 @@ def _tree_inputs(spec: CoefficientSpec, x_init, theta: float, delta: float,
         raise ConfigError("theta must be finite and nonnegative")
     _check_boundary(boundary)
     return x_init, excursion_mass_above(spec, delta)
-
-
-@dataclass
-class Excursion:
-    """One excursion path from delta at local time 0, trimmed at absorption.
-
-    `censored` marks paths still alive at the local horizon; `attempts`
-    counts rejection-sampling attempts (1 for direct).
-    """
-
-    path: Path
-    censored: bool = False
-    attempts: int = 1
-
-    @property
-    def peak(self) -> float:
-        return self.path.peak()
-
-    @property
-    def area(self) -> float:
-        return self.path.area()
-
-    def value_at(self, u: float) -> float:
-        """Mass at local time u; 0 before birth and after absorption."""
-        if u < 0.0 or u > self.path.grid.horizon:
-            return 0.0
-        return self.path.value_at(u)
-
-
-def sample_excursion(spec: CoefficientSpec, delta: float, grid: TimeGrid,
-                     seed: int, method: str = "rejection",
-                     boundary: str = "exact", island_key: int = 0) -> Excursion:
-    """Draw one excursion conditioned to reach delta, anchored at the crossing.
-
-    method="rejection" simulates attempts from eps = delta*1e-3 until one
-    reaches delta before 0 (attempt count reported; per-attempt acceptance
-    probability is S(eps)/S(delta)); the accepted path is continued from the
-    crossing, where its value is exactly delta by continuity, so the body is
-    simulated from delta (strong Markov).  method="direct" skips the attempt
-    accounting and starts at delta outright; both produce the same law.
-    """
-    if not 0.0 < delta < spec.domain.upper:
-        raise ConfigError("delta must lie strictly inside the domain")
-    if method not in ("rejection", "direct"):
-        raise ConfigError("method must be 'rejection' or 'direct'")
-    _check_boundary(boundary)
-    attempts = 1
-    if method == "rejection":
-        eps = delta * 1e-3
-        batch = 512
-        max_steps = max(4 * grid.n_steps, 1000)
-        attempts = 0
-        for round_ in range(64):
-            st = single_batch_stats(spec, eps, grid.dt,
-                                    seed=rngmod.mix(seed, island_key),
-                                    replicates=batch, tag=2 + round_,
-                                    max_steps=max_steps, stop_level=delta,
-                                    boundary=boundary, chunk=batch)
-            if st.hit.any():
-                attempts += int(np.argmax(st.hit)) + 1
-                break
-            attempts += batch
-        else:
-            raise SolverError("rejection sampling failed to accept; "
-                              "delta too large for this spec?")
-    gen = rngmod.substream(seed, rngmod.EXCURSION, island_key, 0)
-    values, censored = _single_path(spec, delta, grid.dt, grid.n_steps, gen,
-                                    boundary)
-    path = Path(TimeGrid(0.0, (len(values) - 1) * grid.dt, grid.dt), values)
-    return Excursion(path=path, censored=censored, attempts=attempts)
 
 
 # memory budget of one tree: the slot arrays of `sample_tree_stats`
@@ -463,26 +392,20 @@ def export_tree_csv(tree: VirginIslandTree, fname: str) -> None:
     extinction time, both on the grid ("inf" when censored); parent_id is
     empty for roots and immigrants.
     """
-    with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["island_id", "parent_id", "generation", "s", "T0",
-                    "peak", "area"])
-        dt = tree.grid.dt
+    dt = tree.grid.dt
+    write_csv(fname, ("island_id", "parent_id", "generation", "s", "T0",
+                      "peak", "area"), (
+        (i, "" if parent < 0 else parent, generation, birth * dt,
+         "inf" if death < 0 else (death - birth) * dt, peak, area)
         for i, (parent, generation, birth, death, peak, area) in enumerate(
-                zip(tree.parent.tolist(), tree.generation.tolist(),
-                    tree.birth.tolist(), tree.death.tolist(),
-                    tree.peak.tolist(), tree.area.tolist())):
-            w.writerow([i, "" if parent < 0 else parent, generation,
-                        repr(birth * dt),
-                        "inf" if death < 0 else repr((death - birth) * dt),
-                        repr(peak), repr(area)])
+            zip(tree.parent.tolist(), tree.generation.tolist(),
+                tree.birth.tolist(), tree.death.tolist(),
+                tree.peak.tolist(), tree.area.tolist()))))
 
 
 def export_spectrum_csv(snap: SpectrumSnapshot, fname: str) -> None:
     """Rows: t, bin_lo, bin_hi, count."""
-    with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "bin_lo", "bin_hi", "count"])
-        for i in range(snap.counts.size):
-            w.writerow([repr(snap.time), repr(float(snap.edges[i])),
-                        repr(float(snap.edges[i + 1])), int(snap.counts[i])])
+    edges = snap.edges.tolist()
+    write_csv(fname, ("t", "bin_lo", "bin_hi", "count"),
+              ((snap.time, edges[i], edges[i + 1], count)
+               for i, count in enumerate(snap.counts.tolist())))

@@ -325,6 +325,9 @@ def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
     ("identities", {"eps": 0.0}, "eps"),
     ("identities", {"eps": 0.1}, "eps"),              # eps == delta
     ("identities", {"eps": 0.5}, "eps"),
+    ("identities", {"replicates": 150.7}, "replicates"),  # not truncated
+    ("identities", {"seed": 2.9}, "seed"),
+    ("compare", {"seed": True}, "seed"),
 ])
 def test_bad_config_value_exits_2_and_names_it(tmp_path, capsys, command,
                                                extra, key):

@@ -32,10 +32,10 @@ from islandsim import (
     simulate_system,
     single_batch_stats,
 )
-from islandsim.sde import (_exact_inflow_substep, _exact_kernel, _report_nodes,
-                           _single_path, _step, switch_level)
+from islandsim.sde import _exact_kernel, _report_nodes, _step, switch_level
 from islandsim.rng import substream
 from islandsim.virgin_island import sample_tree_stats, total_mass_reducer
+from test_virgin_island import feller_laplace
 
 # a RuntimeWarning from the engines (an overflow, a division by 0) fails
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -127,22 +127,17 @@ def test_single_ops_storage_guard_raises_before_allocating():
         simulate_single(logistic_spec(), 0.5, g, seed=0)
 
 
-def test_scalar_exact_branch_matches_the_vector_kernel():
-    # one _single_path step below the switch level is the scalar form of
-    # _exact_inflow_substep with inflow 0: the same draws, values to 1e-12
-    wf = CoefficientSpec(SelectionMutation(0.6, 0.2), WrightFisher(),
-                         DomainInterval(1.0))
-    dt = 2e-3
-    for spec in (feller(), logistic_spec(), wf):
-        y_switch = switch_level(dt, None, spec.domain.upper)
-        for i, x in enumerate(np.linspace(1e-4, y_switch, 40, endpoint=False)):
-            gen, ref_gen = substream(55, i), substream(55, i)
-            values, _ = _single_path(spec, x, dt, 1, gen, "exact")
-            ref = np.minimum(_exact_inflow_substep(
-                ref_gen, np.array([x]), 0.0, spec.mu_over_x(np.array([x])),
-                spec.sigma2_over_x(np.array([x])), dt), spec.domain.upper)[0]
-            assert values[1] == pytest.approx(ref, rel=1e-12, abs=0.0)
-            assert gen.random() == ref_gen.random()
+def test_single_path_absorbs_and_stays_at_zero():
+    # started at delta, the law of an excursion: the path dies before the
+    # horizon and is 0 from its absorption node on
+    spec = CoefficientSpec(LinearDrift(-1.0), LinearDiffusion(1.0),
+                           DomainInterval())
+    p = simulate_single(spec, 0.1, TimeGrid(0.0, 40.0, 0.01), seed=4)
+    assert p.values[0] == 0.1
+    dead = p.extinction_time()
+    assert dead is not None and p.peak() >= 0.1 and p.area() > 0.0
+    assert not p.values[p.grid.node_of(dead):].any()
+    assert np.all(p.values[:p.grid.node_of(dead)] > 0.0)
 
 
 def test_finite_domain_clamp():
@@ -394,6 +389,23 @@ def test_exact_kernel_equals_the_masked_reference_bit_for_bit(mu_x, s2_x,
     assert gen.random() == ref_gen.random()
 
 
+def test_step_with_own_ratios_equals_the_spec_step():
+    # `ratios` stand in for spec (mu = v mu_x, sigma2 = v s2_x): with each
+    # component's own linear ratios both branches give the spec step's bits
+    # and draws
+    spec, dt = CoefficientSpec(LinearDrift(0.5), LinearDiffusion(1.0)), 2e-3
+    v = np.tile([0.0, 1e-4, 2e-3, 0.05, 0.079, 0.08, 0.2, 0.45, 1.0], 30)
+    a = np.linspace(0.0, 0.5, v.size)
+    gen, ref_gen = substream(63, 1), substream(63, 1)
+    new = ref = v
+    for _ in range(25):
+        new, _ = _step(spec, new, dt, gen, "exact", a, ratios=(
+            spec.mu_over_x(new), spec.sigma2_over_x(new)))
+        ref, _ = _step(spec, ref, dt, ref_gen, "exact", a)
+        assert np.array_equal(new, ref)
+    assert gen.random() == ref_gen.random()
+
+
 def test_censoring_counted():
     st_ = single_batch_stats(logistic_spec(), 1.0, dt=0.01, seed=5,
                              replicates=200, tag=4, max_steps=5)
@@ -419,7 +431,7 @@ def test_inflow_kernel_stationary_gamma_law():
     s2_ratio = np.full(n, c)
     inflow = np.full(n, a)
     for _ in range(40):
-        y = _exact_inflow_substep(gen, y, inflow, mu_ratio, s2_ratio, 0.5)
+        y = _exact_kernel(gen, y, inflow, mu_ratio, s2_ratio, 0.5)
     res = stats.kstest(y, stats.gamma(2.0 * a / c, scale=c / (2.0 * b)).cdf)
     assert res.pvalue > 0.01
 
@@ -428,8 +440,8 @@ def test_inflow_kernel_zero_inflow_absorbs():
     gen = substream(7, 43)
     y = np.full(20000, 0.02)
     zero = np.zeros_like(y)
-    out = _exact_inflow_substep(gen, y, zero, np.zeros_like(y),
-                                np.full_like(y, 2.0), 0.05)
+    out = _exact_kernel(gen, y, zero, np.zeros_like(y), np.full_like(y, 2.0),
+                        0.05)
     # positive absorption atom, and no negative values
     assert np.mean(out == 0.0) > 0.5
     assert np.all(out >= 0.0)
@@ -456,16 +468,17 @@ def _draw_every_component(gen, old, inflow, mu_x, s2_x, dt):
 
 
 def test_inflow_kernel_skips_absorbed_without_moving_the_stream():
-    # Absorbed components (old == 0, inflow == 0) are not drawn for; this is
-    # invisible only because numpy's Poisson(0) and Gamma(shape 0) return 0
-    # without consuming bits.  Pin that: same values and same stream state as
-    # a reference that draws for every component.
+    # `_step` draws nothing for absorbed components (old == 0, inflow == 0);
+    # this is invisible only because numpy's Poisson(0) and Gamma(shape 0)
+    # return 0 without consuming bits.  Pin that: below the switch level,
+    # same values and same stream state as a reference that draws for every
+    # component.
     setup = substream(2024, 45)
     n = 6000
     kind = setup.integers(0, 6, n)
-    old = np.where(kind == 0, 0.0, setup.uniform(0.0, 0.04, n))  # absorbed
+    old = np.where(kind == 0, 0.0, setup.uniform(0.0, 0.02, n))  # absorbed
     old[kind == 1] = 0.0                                         # entrance
-    old[kind == 2] = setup.uniform(0.1, 3.0, (kind == 2).sum())  # Euler range
+    old[kind == 2] = setup.uniform(0.02, 0.04, (kind == 2).sum())  # near switch
     inflow = np.where(kind == 0, 0.0, setup.uniform(0.0, 2.0, n))
     inflow[kind == 3] = 0.0
     mu_x = setup.uniform(-2.0, 0.5, n)
@@ -474,8 +487,10 @@ def test_inflow_kernel_skips_absorbed_without_moving_the_stream():
     s2_x[kind == 5] = setup.choice([0.0, -1.0], (kind == 5).sum())  # c <= 0
     s2_x[(kind == 0) & (setup.random(n) < 0.3)] = 0.0
     for dt in (1e-3, 0.05):
+        assert old.max() < switch_level(dt)
         gen, ref_gen = substream(77, 46), substream(77, 46)
-        out = _exact_inflow_substep(gen, old, inflow, mu_x, s2_x, dt)
+        out, _ = _step(logistic_spec(), old, dt, gen, "exact", inflow,
+                       ratios=(mu_x, s2_x))
         ref = _draw_every_component(ref_gen, old, inflow, mu_x, s2_x, dt)
         assert np.array_equal(out, ref)
         assert gen.random() == ref_gen.random()
@@ -485,24 +500,26 @@ def test_inflow_kernel_skips_absorbed_without_moving_the_stream():
 
 @pytest.mark.parametrize("top", [-1.0, -8.0])
 def test_inflow_kernel_broadcast_ratios_match_full_ratios(top):
-    # the level split passes island ratios of shape (r, 1, islands) against
-    # states (r, levels, islands); tiny island totals take the small-|b dt|
-    # series, which must land on every level of its island and nowhere
-    # else: the same values and draws as the flat reference formulas on fully
-    # broadcast ratios.  top -1 leaves few totals tiny (the series on an index subset), top -8
-    # most of them (one masked pass)
+    # the level split passes `_step` island ratios of shape (r, 1, islands)
+    # against states (r, levels, islands); tiny island totals take the
+    # small-|b dt| series, which must land on every level of its island and
+    # nowhere else: the same values and draws as the flat reference formulas
+    # on fully broadcast ratios.  top -1 leaves few totals tiny (the series
+    # on an index subset), top -8 most of them (one masked pass); dt 5e-3
+    # keeps every state below the switch level
     setup = substream(2024, 48)
     v = 10.0 ** setup.uniform(-12.0, top, (50, 4, 6))
     inflow = setup.uniform(0.1, 1.0, v.shape)
     tot = v.sum(axis=-2, keepdims=True)
-    spec = logistic_spec()
+    spec, dt = logistic_spec(), 5e-3
     mu_x, s2_x = spec.mu_over_x(tot), spec.sigma2_over_x(tot)
-    assert np.any(np.abs(1.0 - mu_x) * 2e-3 < 1e-10)
+    assert np.any(np.abs(1.0 - mu_x) * dt < 1e-10)
+    assert v.max() < switch_level(dt)
     gen, ref_gen = substream(77, 48), substream(77, 48)
-    out = _exact_inflow_substep(gen, v, inflow, mu_x, s2_x, 2e-3)
+    out, _ = _step(spec, v, dt, gen, "exact", inflow, ratios=(mu_x, s2_x))
     ref = _draw_every_component(ref_gen, v.ravel(), inflow.ravel(),
                                 np.broadcast_to(mu_x, v.shape).ravel(),
-                                np.broadcast_to(s2_x, v.shape).ravel(), 2e-3)
+                                np.broadcast_to(s2_x, v.shape).ravel(), dt)
     assert np.array_equal(out, ref.reshape(v.shape))
     assert gen.random() == ref_gen.random()
 
@@ -515,7 +532,7 @@ def test_inflow_kernel_zero_inflow_rows():
     mu_x = np.array([0.3, 0.3, 0.3, -0.5, 0.3])
     s2_x = np.array([2.0, 0.0, 0.0, -1.0, 2.0])
     dt = 0.01
-    out = _exact_inflow_substep(gen, old, 0.0, mu_x, s2_x, dt)
+    out = _exact_kernel(gen, old, 0.0, mu_x, s2_x, dt)
     assert out[0] == 0.0 and out[1] == 0.0
     assert np.array_equal(out[2:4], old[2:4] * np.exp(-(1.0 - mu_x[2:4]) * dt))
     assert out[4] >= 0.0
@@ -524,8 +541,8 @@ def test_inflow_kernel_zero_inflow_rows():
 def test_inflow_kernel_degenerate_diffusion_is_ode():
     gen = substream(7, 44)
     y = np.array([1.0])
-    out = _exact_inflow_substep(gen, y, np.array([0.3]), np.array([0.0]),
-                                np.array([0.0]), 0.1)
+    out = _exact_kernel(gen, y, np.array([0.3]), np.array([0.0]),
+                        np.array([0.0]), 0.1)
     # c = 0: exact ODE step of dY = (a - Y) dt
     expected = 1.0 * math.exp(-0.1) + 0.3 * (1.0 - math.exp(-0.1))
     assert out[0] == pytest.approx(expected, rel=1e-12)
@@ -667,6 +684,26 @@ def test_level_sum_matches_unsplit_distribution():
                                  k_max=6, **kw)
     res = stats.ks_2samp(unsplit["total"][0], levels["total"][0])
     assert res.pvalue > 0.01
+
+
+@pytest.mark.parametrize("mode", ["unsplit", "levels"])
+def test_system_total_matches_the_feller_laplace_transform(mode):
+    # mu = 0, sigma2 = 2x: the total of an island system with immigration
+    # theta is the CIR process dZ = theta dt + sqrt(2 Z) dW for every N, and
+    # the level split (each level on the island total's ratios) has the same
+    # law up to the mass its cap drops; frozen seed and budget
+    g = TimeGrid(0.0, 1.0, 1e-2)
+    lams = (0.5, 1.0, 4.0)
+    red = {lam: (lambda lam: lambda b: np.exp(-lam * b.sum(axis=1)))(lam)
+           for lam in lams}
+    res = sample_system_stats(feller(), 4, 1.0, np.full(4, 0.25), g, 77,
+                              20000, [g.n_steps], red, tag=9, mode=mode,
+                              k_max=6)
+    for lam in lams:
+        v = res[lam][0]
+        z = (v.mean() - feller_laplace(lam, 1.0, 1.0, 1.0)) \
+            / (v.std(ddof=1) / math.sqrt(v.size))
+        assert abs(z) <= 4.0, (mode, lam, z)
 
 
 def test_exact_and_clip_boundaries_agree_away_from_zero():

@@ -1,9 +1,8 @@
-"""Excursion sampling and the tree of excursions.
+"""The tree of excursions.
 
 The quantitative checks lean on the scale-function identities: immigrants
-arrive at rate theta/S(delta), an island of area A spawns Poisson(A/S(delta))
-daughters, and a path from eps reaches delta with probability
-S(eps)/S(delta).
+arrive at rate theta/S(delta), and an island of area A spawns
+Poisson(A/S(delta)) daughters.
 """
 
 import math
@@ -21,7 +20,6 @@ from islandsim import (
     Logistic,
     TimeGrid,
     build_tree,
-    sample_excursion,
     sample_tree_stats,
     scale_function,
     export_tree_csv,
@@ -69,40 +67,14 @@ def test_excursion_mass_above_is_inverse_scale():
             1.0 / scale_function(spec, d), rel=1e-9)
 
 
-def test_sample_excursion_starts_at_delta_and_dies():
-    g = TimeGrid(0.0, 40.0, 0.01)
-    exc = sample_excursion(subcritical_spec(), 0.1, g, seed=4, method="direct")
-    assert exc.path.values[0] == pytest.approx(0.1)
-    assert not exc.censored
-    assert exc.path.values[-1] == 0.0
-    assert exc.area > 0.0 and exc.peak >= 0.1
-    assert exc.value_at(-1.0) == 0.0
-
-
-def test_sample_excursion_censoring_flag():
-    g = TimeGrid(0.0, 0.02, 0.01)
-    hits = sum(sample_excursion(logistic_spec(), 0.5, g, seed=s,
-                                method="direct").censored
-               for s in range(20))
-    assert hits > 0  # two steps rarely kill a 0.5 start
-
-
-def test_rejection_attempts_scale_like_inverse_acceptance():
-    # acceptance per attempt is S(eps)/S(delta) with eps = delta/1000, a
-    # near-linear scale, so mean attempts sit near 1000
-    g = TimeGrid(0.0, 20.0, 0.01)
-    att = [sample_excursion(subcritical_spec(), 0.1, g, seed=s,
-                            method="rejection", island_key=s).attempts
-           for s in range(30)]
-    assert 200 < np.mean(att) < 4000
-
-
 def test_excursion_input_validation():
-    g = TimeGrid(0.0, 1.0, 0.01)
-    with pytest.raises(ConfigError):
-        sample_excursion(logistic_spec(), 0.0, g, seed=0)
-    with pytest.raises(ConfigError):
-        sample_excursion(logistic_spec(), 0.1, g, seed=0, method="magic")
+    # the cutoff delta must lie strictly inside the domain
+    bounded = CoefficientSpec(LinearDrift(0.0), LinearDiffusion(1.0),
+                              DomainInterval(1.0))
+    for spec, delta in ((logistic_spec(), 0.0), (logistic_spec(), -0.1),
+                        (logistic_spec(), math.nan), (bounded, 1.0)):
+        with pytest.raises(ConfigError, match="delta"):
+            excursion_mass_above(spec, delta)
 
 
 # -- one recorded tree ------------------------------------------------------------
