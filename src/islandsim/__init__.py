@@ -26,7 +26,6 @@ from .exceptions import (
     SolverError,
 )
 from .analytics import (
-    QuadratureConfig,
     RhoSolution,
     classify_regime,
     extinction_criterion,

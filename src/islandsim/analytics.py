@@ -18,16 +18,16 @@ Quadrature policy: one in-module global adaptive Gauss-Kronrod rule,
 QUADPACK's qag with the 21-point Kronrod / 10-point Gauss pair of qk21 and
 its error estimate (Piessens et al., QUADPACK, Springer 1983).  Breakpoints
 of piecewise coefficients start the panels; the worst panel is bisected
-until the summed error estimate meets QuadratureConfig's tolerances or there
-are 200 panels.  Integrands take the nodes of a panel as one array.  The
-slice below a knee (1e-6) is integrated in u = log y: on (-inf, log knee]
-through qagi's map u = log knee - (1 - t)/t when the integrand is finite at
-0, down to the smallest normal float plus a power-law tail when it is not.
-An infinite limit of one _quad goes through the same map onto (0, 1].  The
-criterion's and the speed measure's tails are instead truncated adaptively,
-doubling the horizon until three consecutive doublings add less than
-1e-2 * abs_tol (a clearly divergent tail raises DivergenceError).  No scipy
-module is loaded.
+until the summed error estimate meets the fixed tolerances (absolute 1e-10
+or relative 1e-8) or there are 200 panels.  Integrands take the nodes of a
+panel as one array.  The slice below a knee (1e-6) is integrated in
+u = log y: on (-inf, log knee] through qagi's map u = log knee - (1 - t)/t
+when the integrand is finite at 0, down to the smallest normal float plus a
+power-law tail when it is not.  An infinite limit of one _quad goes through
+the same map onto (0, 1].  The criterion's and the speed measure's tails
+are instead truncated adaptively, doubling the horizon (at most 60 times)
+until three consecutive doublings add less than 1e-2 * 1e-10 (a clearly
+divergent tail raises DivergenceError).  No scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .coefficients import CoefficientSpec
 from .exceptions import DivergenceError, DomainError, RegimeError, SolverError
 
 __all__ = [
-    "QuadratureConfig",
     "scale_density",
     "scale_function",
     "speed_mass",
@@ -58,19 +57,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    singularity_knee: float = 1e-6
-    max_doublings: int = 60
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.singularity_knee <= 0:
-            raise ValueError("tolerances and knee must be positive")
-
-
-_DEFAULT_Q = QuadratureConfig()
+# every integral's tolerances, the knee below which integrands with a
+# singularity at 0 are taken in log coordinates, the tail doubling budget,
+# and solve_rho's bisection width and Gamma_rho table nodes
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+_KNEE = 1e-6
+_MAX_DOUBLINGS = 60
+_RHO_TOL = 1e-10
+_N_GRID = 65536
 
 # QUADPACK's qk21 rule: the 21-point Kronrod nodes on [-1, 1] and their
 # weights; the 10-point Gauss rule uses every other node (XGK[1], XGK[3], ...).
@@ -123,21 +118,21 @@ def _gk21(f, lo, hi):
     return vals, errs
 
 
-def _quad(f, a, b, q: QuadratureConfig, points=()):
+def _quad(f, a, b, points=()):
     """int_a^b f by global adaptive Gauss-Kronrod (QUADPACK's qag with qk21).
 
     f maps an array of nodes to an array of values.  The breakpoints inside
     (a, b) start the panels; the panel with the largest error estimate is
-    bisected until the summed estimate meets q's tolerances or there are
-    _LIMIT panels.  A non-finite panel value is returned at once.  An
+    bisected until the summed estimate meets _ABS_TOL or _REL_TOL, or there
+    are _LIMIT panels.  A non-finite panel value is returned at once.  An
     infinite limit (one at most) goes through QUADPACK qagi's map
     x = c +- (1 - t)/t of t in (0, 1] onto the half-line from the other limit c.
     """
     if b < a:
-        return -_quad(f, b, a, q, points)
+        return -_quad(f, b, a, points)
     if math.isinf(a) or math.isinf(b):
         c, sgn = (b, -1.0) if math.isinf(a) else (a, 1.0)
-        return _quad(lambda t: f(c + sgn * (1.0 - t) / t) / (t * t), 0.0, 1.0, q,
+        return _quad(lambda t: f(c + sgn * (1.0 - t) / t) / (t * t), 0.0, 1.0,
                      [1.0 / (1.0 + abs(p - c)) for p in points if a < p < b])
     edges = [a, *sorted(p for p in points if a < p < b), b]
     lo, hi = edges[:-1], edges[1:]
@@ -145,7 +140,7 @@ def _quad(f, a, b, q: QuadratureConfig, points=()):
     while True:
         total = sum(val)
         if (not math.isfinite(total) or len(val) >= _LIMIT
-                or sum(err) <= max(q.abs_tol, q.rel_tol * abs(total))):
+                or sum(err) <= max(_ABS_TOL, _REL_TOL * abs(total))):
             return total
         i = err.index(max(err))
         mid = 0.5 * (lo[i] + hi[i])
@@ -164,7 +159,7 @@ def _div(a: float, b: float) -> float:
 _U_FLOOR = math.log(sys.float_info.min)  # e^u is a normal float above this
 
 
-def _log_slice(f, knee: float, q: QuadratureConfig) -> float:
+def _log_slice(f, knee: float) -> float:
     """int_0^knee f(y) dy in u = log y (inf if it diverges at 0).
 
     g(u) = f(e^u) e^u vanishes where e^u underflows if f is finite at 0; then
@@ -180,41 +175,41 @@ def _log_slice(f, knee: float, q: QuadratureConfig) -> float:
 
     top = math.log(knee)
     if np.isfinite(f(np.zeros(1))).all():
-        return _quad(g, -math.inf, top, q)
+        return _quad(g, -math.inf, top)
     g0, g1 = g(np.array([_U_FLOOR, _U_FLOOR + 1.0])).tolist()
     if g0 != 0.0 and not (math.isfinite(g0) and g1 / g0 > math.exp(1e-9)):
         return math.inf
     tail = g0 / math.log(g1 / g0) if g0 != 0.0 else 0.0
-    return tail + _quad(g, _U_FLOOR, top, q)
+    return tail + _quad(g, _U_FLOOR, top)
 
 
-def _integrate_zero_singular(f, b: float, q: QuadratureConfig, points=()) -> float:
+def _integrate_zero_singular(f, b: float, points=()) -> float:
     """int_0^b f (b may be inf) for integrands with a singularity at 0.
 
     The slice below the knee is taken in u = log x (see `_log_slice`).
     """
-    knee = min(q.singularity_knee, 0.5 * b)
-    low = _log_slice(f, knee, q)
+    knee = min(_KNEE, 0.5 * b)
+    low = _log_slice(f, knee)
     if not math.isfinite(low):
         raise DivergenceError("integral diverges at the lower boundary 0")
     if math.isinf(b):
-        return low + _integrate_to_inf(f, knee, q, points=points)
-    return low + _quad(f, knee, b, q, points=points)
+        return low + _integrate_to_inf(f, knee, points=points)
+    return low + _quad(f, knee, b, points=points)
 
 
-def _integrate_to_inf(f, a: float, q: QuadratureConfig, points=()) -> float:
+def _integrate_to_inf(f, a: float, points=()) -> float:
     """int_a^inf f by adaptive horizon doubling; every segment gets the breakpoints."""
     t0 = max(2.0 * abs(a), 1.0)
-    total = _quad(f, a, t0, q, points=points)
+    total = _quad(f, a, t0, points=points)
     small, grow, prev = 0, 0, math.inf
     t = t0
-    for _ in range(q.max_doublings):
-        seg = _quad(f, t, 2.0 * t, q, points=points)
+    for _ in range(_MAX_DOUBLINGS):
+        seg = _quad(f, t, 2.0 * t, points=points)
         if not math.isfinite(seg):
             raise DivergenceError("tail integral is not finite")
         total += seg
         t *= 2.0
-        if abs(seg) < 1e-2 * q.abs_tol:
+        if abs(seg) < 1e-2 * _ABS_TOL:
             small += 1
             grow = 0
             if small >= 3:
@@ -244,18 +239,18 @@ def _h(spec: CoefficientSpec):
     return h
 
 
-def _H(spec: CoefficientSpec, z: float, q: QuadratureConfig) -> float:
+def _H(spec: CoefficientSpec, z: float) -> float:
     """H(z) = int_0^z h, integrating the sub-knee slice in log coordinates."""
     if z == 0.0:
         return 0.0
     h = _h(spec)
-    knee = min(q.singularity_knee, z)
-    low = _log_slice(h, knee, q)
+    knee = min(_KNEE, z)
+    low = _log_slice(h, knee)
     if not math.isfinite(low):
         raise DivergenceError("int_0 h diverges; scale density undefined")
-    if z <= q.singularity_knee:
+    if z <= _KNEE:
         return low
-    return low + _quad(h, knee, z, q, points=_breakpoints(spec))
+    return low + _quad(h, knee, z, points=_breakpoints(spec))
 
 
 def _check_in_domain(spec: CoefficientSpec, z: float, name: str) -> None:
@@ -263,31 +258,28 @@ def _check_in_domain(spec: CoefficientSpec, z: float, name: str) -> None:
         raise DomainError(f"{name}={z} outside [0, {spec.domain.upper}]")
 
 
-def scale_density(spec: CoefficientSpec, z: float,
-                  q: QuadratureConfig = _DEFAULT_Q) -> float:
+def scale_density(spec: CoefficientSpec, z: float) -> float:
     """s(z) = exp(-H(z)), with s(0) = 1."""
     _check_in_domain(spec, z, "z")
-    H = _H(spec, z, q)
+    H = _H(spec, z)
     if H < -700.0:
         raise DivergenceError("scale density overflows")
     return math.exp(-H)
 
 
-def scale_function(spec: CoefficientSpec, y: float,
-                   q: QuadratureConfig = _DEFAULT_Q) -> float:
+def scale_function(spec: CoefficientSpec, y: float) -> float:
     """S(y) = int_0^y s(z) dz; increasing, S(0) = 0, S'(0) = 1."""
     _check_in_domain(spec, y, "y")
     if y == 0.0:
         return 0.0
-    val = _quad(lambda zs: [scale_density(spec, z, q) for z in zs.tolist()],
-                0.0, y, q, points=_breakpoints(spec))
+    val = _quad(lambda zs: [scale_density(spec, z) for z in zs.tolist()],
+                0.0, y, points=_breakpoints(spec))
     if not math.isfinite(val):
         raise DivergenceError("scale function is not finite")
     return val
 
 
-def speed_mass(spec: CoefficientSpec, a: float, b: float,
-               q: QuadratureConfig = _DEFAULT_Q) -> float:
+def speed_mass(spec: CoefficientSpec, a: float, b: float) -> float:
     """m((a,b)) = int_a^b 2 / (sigma2(y) s(y)) dy.
 
     Returns inf when a == 0 and the measure piles up infinite mass at the
@@ -301,28 +293,27 @@ def speed_mass(spec: CoefficientSpec, a: float, b: float,
         return 0.0
 
     def integrand(ys):
-        return [_div(2.0 * math.exp(_H(spec, y, q)), float(spec.sigma2(y)))
+        return [_div(2.0 * math.exp(_H(spec, y)), float(spec.sigma2(y)))
                 for y in ys.tolist()]
 
     if a > 0.0:
-        return _quad(integrand, a, b, q, points=_breakpoints(spec))
+        return _quad(integrand, a, b, points=_breakpoints(spec))
     # probe shrinking lower limits for divergence at the trap
-    vals = [_quad(integrand, lo, b, q, points=_breakpoints(spec))
+    vals = [_quad(integrand, lo, b, points=_breakpoints(spec))
             for lo in (1e-4, 1e-6, 1e-8)]
-    if vals[-1] - vals[-2] > 10.0 * max(q.abs_tol, 1e-12) * max(1.0, abs(vals[-1])):
+    if vals[-1] - vals[-2] > 10.0 * max(_ABS_TOL, 1e-12) * max(1.0, abs(vals[-1])):
         return math.inf
-    return _integrate_zero_singular(integrand, b, q, points=_breakpoints(spec))
+    return _integrate_zero_singular(integrand, b, points=_breakpoints(spec))
 
 
-def extinction_criterion(spec: CoefficientSpec,
-                         q: QuadratureConfig = _DEFAULT_Q) -> float:
+def extinction_criterion(spec: CoefficientSpec) -> float:
     """Theta = int_0^upper (2 y / sigma2(y)) exp(H(y)) dy."""
 
     def integrand(ys):
         return [_div(2.0, float(spec.sigma2_over_x(y)))
-                * math.exp(min(_H(spec, y, q), 700.0)) for y in ys.tolist()]
+                * math.exp(min(_H(spec, y), 700.0)) for y in ys.tolist()]
 
-    val = _integrate_zero_singular(integrand, spec.domain.upper, q,
+    val = _integrate_zero_singular(integrand, spec.domain.upper,
                                    points=_breakpoints(spec))
     if not math.isfinite(val):
         raise DivergenceError("extinction criterion integral diverged")
@@ -334,8 +325,7 @@ def classify_regime(theta: float) -> str:
     return "extinction" if theta <= 1.0 else "survival"
 
 
-def logistic_criterion(gamma: float, K: float, beta: float,
-                       q: QuadratureConfig = _DEFAULT_Q) -> float:
+def logistic_criterion(gamma: float, K: float, beta: float) -> float:
     """int_0^inf exp(K gamma x - (gamma beta / 2) x^2) e^{-x} dx.
 
     Equals the extinction criterion of the logistic drift (gamma, K) with
@@ -347,15 +337,14 @@ def logistic_criterion(gamma: float, K: float, beta: float,
     def f(x):
         return np.exp(K * gamma * x - 0.5 * gamma * beta * x * x - x)
 
-    return _integrate_to_inf(f, 0.0, q)
+    return _integrate_to_inf(f, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # growth rate rho and the stationary mass distribution Gamma_rho
 # ---------------------------------------------------------------------------
 
-def _rho_residual(rho: float, gamma: float, K: float, beta: float,
-                  q: QuadratureConfig) -> float:
+def _rho_residual(rho: float, gamma: float, K: float, beta: float) -> float:
     """int_0^inf y^{rho/beta} (K - y) exp(((gamma K - 1) y - gamma y^2 / 2)/beta) dy.
 
     The y^{rho/beta} endpoint is smooth in u = log y, so (0, 1] is a log
@@ -368,7 +357,7 @@ def _rho_residual(rho: float, gamma: float, K: float, beta: float,
     def f(y):
         return y**p * (K - y) * np.exp(a * y - c * y * y)
 
-    val = _log_slice(f, 1.0, q) + _quad(f, 1.0, math.inf, q, points=[K])
+    val = _log_slice(f, 1.0) + _quad(f, 1.0, math.inf, points=[K])
     if not math.isfinite(val):
         raise DivergenceError("growth-rate residual is not finite")
     return val
@@ -412,7 +401,7 @@ class RhoSolution:
         return math.exp(-self.log_norm)
 
 
-def _build_tables(rho, gamma, K, beta, n_grid: int):
+def _build_tables(rho, gamma, K, beta):
     """Log-coordinate density tables wide enough to hold all but ~1e-16 mass."""
     logf = lambda u: _log_gamma_rho_unnorm(np.exp(u), rho, gamma, K, beta) + u
     # crude mode search, then expand until the log-density has dropped by 60
@@ -429,7 +418,7 @@ def _build_tables(rho, gamma, K, beta, n_grid: int):
         hi += 1.0
         if hi > 400.0:
             raise SolverError("Gamma_rho upper tail did not decay")
-    u = np.linspace(lo, hi, n_grid)
+    u = np.linspace(lo, hi, _N_GRID)
     g = np.exp(logf(u) - peak)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(u))])
     total = cdf[-1]
@@ -438,17 +427,15 @@ def _build_tables(rho, gamma, K, beta, n_grid: int):
     return u, cdf, log_norm
 
 
-def solve_rho(gamma: float, K: float, beta: float,
-              q: QuadratureConfig = _DEFAULT_Q, rho_tol: float = 1e-10,
-              n_grid: int = 65536) -> RhoSolution:
+def solve_rho(gamma: float, K: float, beta: float) -> RhoSolution:
     """Solve for the exponential growth rate rho > 0 (survival regime only).
 
     Bracketing by doubling/halving from rho0 = beta, then bisection to
-    rho_tol.  RegimeError if the criterion is <= 1 (no positive root).
+    _RHO_TOL.  RegimeError if the criterion is <= 1 (no positive root).
     """
-    if logistic_criterion(gamma, K, beta, q) <= 1.0:
+    if logistic_criterion(gamma, K, beta) <= 1.0:
         raise RegimeError("extinction regime: growth equation has no positive root")
-    res = lambda r: _rho_residual(r, gamma, K, beta, q)
+    res = lambda r: _rho_residual(r, gamma, K, beta)
     lo = hi = beta
     r0 = res(beta)
     if r0 > 0.0:
@@ -468,7 +455,7 @@ def solve_rho(gamma: float, K: float, beta: float,
             raise SolverError("failed to bracket rho from below")
         hi = lo * 2.0
     for _ in range(200):
-        if hi - lo <= rho_tol:
+        if hi - lo <= _RHO_TOL:
             break
         mid = 0.5 * (lo + hi)
         if res(mid) > 0.0:
@@ -476,7 +463,7 @@ def solve_rho(gamma: float, K: float, beta: float,
         else:
             hi = mid
     rho = 0.5 * (lo + hi)
-    u, cdf, log_norm = _build_tables(rho, gamma, K, beta, n_grid)
+    u, cdf, log_norm = _build_tables(rho, gamma, K, beta)
     return RhoSolution(rho=rho, gamma=gamma, K=K, beta=beta,
                        residual=res(rho), log_norm=log_norm,
                        u_grid=u, cdf_grid=cdf)

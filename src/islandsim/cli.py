@@ -55,16 +55,19 @@ def _build_parser() -> argparse.ArgumentParser:
 _NUMBERS = "a list of numbers"
 _POINTS = "a list of [x, y, t] lists of numbers"
 _SQUARE = "a square list of lists of numbers"
-# JSON types of the ExperimentConfig keys a config may set (boundary is
-# checked later); JSON null leaves a key at its default
+# JSON types of the run keys a config may set (boundary is checked later);
+# JSON null leaves a key at its default
 _KEY_TYPES = {
-    **dict.fromkeys("theta tree_dt eval_time eps diag_fraction".split(),
-                    "a number"),
-    **dict.fromkeys("generation_cap n_part mv_replicates k_max".split(),
-                    "an integer"),
+    **dict.fromkeys("dt delta horizon theta tree_dt eval_time eps "
+                    "diag_fraction".split(), "a number"),
+    **dict.fromkeys("seed replicates generation_cap n_part mv_replicates "
+                    "k_max".split(), "an integer"),
     **dict.fromkeys("x_init n_ladder tent_support bin_edges y_grid".split(),
                     _NUMBERS),
     "duality_points": _POINTS, "boundary": None}
+# defaults the command line fills in; dt, delta and horizon become floats
+_DEFAULTS = {"seed": 0, "replicates": 1000, "dt": 1e-3, "delta": 0.05,
+             "horizon": 1.0}
 # functional kind -> class and its list fields, in constructor order
 _FUNCTIONALS = {"one_minus_exp": (ExpDecreasingConcave, ("lambdas", "times")),
                 "monomial": (MixedMonomial, ("times",)),
@@ -111,30 +114,12 @@ def _topology_from(raw):
     raise ConfigError("topology must be an island count or {'entries': [[...]]}")
 
 
-def _scalar(raw: dict, key: str, kind, default):
-    """raw[key] (or default) converted by kind; a bad value names the key.
-
-    An integer key takes only a JSON integer: int() would truncate 2.9."""
-    value = raw.get(key)
-    if kind is int and value is not None and not _has_type(value, "an integer"):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    try:
-        return default if value is None else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
-
 def _experiment_config(raw: dict, spec, args) -> ExperimentConfig:
-    seed = args.seed if args.seed is not None else _scalar(raw, "seed", int, 0)
-    dt = args.dt if args.dt is not None else _scalar(raw, "dt", float, 1e-3)
-    delta = args.delta if args.delta is not None \
-        else _scalar(raw, "delta", float, 0.05)
-    replicates = args.replicates if args.replicates is not None \
-        else _scalar(raw, "replicates", int, 1000)
-    horizon = _scalar(raw, "horizon", float, 1.0)
-    kwargs = {}
+    kwargs = dict(_DEFAULTS)
     for key, kind in _KEY_TYPES.items():
-        value = raw.get(key)
+        value = getattr(args, key, None)  # --seed, --replicates, --dt, --delta
+        if value is None:
+            value = raw.get(key)
         if value is None:
             continue
         if kind and not _has_type(value, kind):
@@ -148,9 +133,9 @@ def _experiment_config(raw: dict, spec, args) -> ExperimentConfig:
             raise ConfigError(f"functionals must be a list, got {functionals!r}")
         kwargs["functionals"] = tuple(map(_functional_from, functionals))
     kwargs["topology"] = _topology_from(raw.get("topology"))
-    return ExperimentConfig(spec=spec, grid=TimeGrid(0.0, horizon, dt),
-                            replicates=replicates, seed=seed, delta=delta,
-                            **kwargs)
+    grid = TimeGrid(0.0, float(kwargs.pop("horizon")), float(kwargs.pop("dt")))
+    kwargs["delta"] = float(kwargs["delta"])
+    return ExperimentConfig(spec=spec, grid=grid, **kwargs)
 
 
 def _cmd_analyze(raw, spec, args) -> int:
@@ -177,15 +162,14 @@ def _cmd_simulate(raw, spec, args) -> int:
         x0 = cfg.x_init[0] if cfg.x_init else 0.5
         path = simulate_single(spec, x0, cfg.grid, cfg.seed,
                                boundary=cfg.boundary)
-    elif mode in _SYSTEM_MODES:
+    elif isinstance(mode, str) and mode in _SYSTEM_MODES:
         if "n_islands" in raw:
             raise ConfigError("simulate takes the island count from "
                               "'topology'; 'n_islands' is not a key")
         top = 5 if cfg.topology is None else cfg.topology
         if mode == "matrix" and not isinstance(top, MigrationMatrix):
             raise ConfigError("matrix mode needs topology.entries")
-        x0 = _system_x0(cfg.x_init, top.n_islands
-                        if isinstance(top, MigrationMatrix) else top)
+        x0 = _system_x0(cfg.x_init, top)
         path = simulate_system(spec, top, cfg.theta, x0, cfg.grid, cfg.seed,
                                mode=_SYSTEM_MODES[mode], k_max=cfg.k_max)
     else:
@@ -195,18 +179,17 @@ def _cmd_simulate(raw, spec, args) -> int:
     export_path_csv(path, csv_path)
     snap = snapshot_config(cfg)
     snap["mode"] = mode
-    vals = path.values
     ExperimentReport("simulate", cfg.seed, snap, (), [],
-                     {"nodes": int(vals.shape[0]),
-                      "final_total": float(np.sum(vals[-1]))}).write_json(args.out)
+                     {"nodes": len(path.values),
+                      "final_total": float(path.total()[-1])}).write_json(args.out)
     print(f"wrote {csv_path}")
     return 0
 
 
 def _cmd_tree(raw, spec, args) -> int:
     cfg = _experiment_config(raw, spec, args)
-    tree = build_tree(spec, cfg.x_init, cfg.theta, cfg.grid.horizon,
-                      cfg.delta, cfg.grid, cfg.seed,
+    tree = build_tree(spec, cfg.x_init, cfg.theta, cfg.delta, cfg.grid,
+                      cfg.seed,
                       generation_cap=cfg.generation_cap,
                       boundary=cfg.boundary, spectrum_time=cfg.eval_time)
     os.makedirs(args.out, exist_ok=True)

@@ -26,8 +26,6 @@ import numpy as np
 
 from .exceptions import ConfigError
 
-ArrayLike = "float | np.ndarray"
-
 
 # ---------------------------------------------------------------------------
 # domain
@@ -47,9 +45,9 @@ class DomainInterval:
     def finite(self) -> bool:
         return math.isfinite(self.upper)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= -tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= 0.0) and np.all(x <= self.upper))
 
 
 # ---------------------------------------------------------------------------
@@ -460,40 +458,39 @@ def _probe_grid(spec: CoefficientSpec, n: int) -> np.ndarray:
     return grid
 
 
-def _tail_stable(values: np.ndarray, factor: float = 2.0) -> bool:
+def _tail_stable(values: np.ndarray) -> bool:
     """True unless the values are still growing at the grid's upper end.
 
-    Compares the max over the last tenth of the grid against the max over
-    the rest.  A bounded hump in the interior passes; persistent growth
+    Compares the max over the last tenth of the grid against twice the max
+    over the rest.  A bounded hump in the interior passes; persistent growth
     toward the end (x^2 drift slopes, sigma2 ~ y^3 over y + y^2) fails.
     """
     k = max(1, int(0.9 * len(values)))
     head = np.max(values[:k])
     tail = np.max(values[k:])
-    return bool(tail <= factor * max(head, 1e-12))
+    return bool(tail <= 2.0 * max(head, 1e-12))
 
 
-def _cauchy_converges(integral_on, lowers, rtol: float = 0.05) -> bool:
-    """True if integral_on(a) is Cauchy as a decreases toward 0."""
+def _cauchy_converges(integral_on, lowers) -> bool:
+    """True if integral_on(a) is Cauchy as a decreases toward 0: the last
+    increment is within 5% of the value and no larger than the first."""
     vals = [integral_on(a) for a in lowers]
     if not all(np.isfinite(vals)):
         return False
     increments = [abs(v2 - v1) for v1, v2 in zip(vals, vals[1:])]
     scale = abs(vals[-1]) + 1e-12
-    # increments must shrink and the last one must be negligible
-    return increments[-1] <= rtol * scale and increments[-1] <= increments[0] + 1e-12
+    return increments[-1] <= 0.05 * scale and increments[-1] <= increments[0] + 1e-12
 
 
-def validate_assumptions(spec: CoefficientSpec, probe_count: int = 2000, seed: int = 0) -> ValidationReport:
+def validate_assumptions(spec: CoefficientSpec) -> ValidationReport:
     """Probe the spec against the standing assumptions and declared structure.
 
-    probe_count is the size of the log-spaced interior grid (at least 100).
-    Grid-based: a pass is strong evidence, not a proof.
+    The probes are a log-spaced interior grid of 2000 points and 400 random
+    pairs (seed 0) for the structure spot-checks.  Grid-based: a pass is
+    strong evidence, not a proof.
     """
-    if probe_count < 100:
-        raise ConfigError("probe_count must be at least 100")
     checks = []
-    grid = _probe_grid(spec, probe_count)
+    grid = _probe_grid(spec, 2000)
     mu_g = spec.mu(grid)
     s2_g = spec.sigma2(grid)
     upper = spec.domain.upper
@@ -588,7 +585,7 @@ def validate_assumptions(spec: CoefficientSpec, probe_count: int = 2000, seed: i
         "int y/(sigma2 s) toward upper " + ("converges" if upper_ok else "diverges")))
 
     # declared structure spot-checks on random pairs
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     span = upper if spec.domain.finite else 5.0 * max(spec.scale_hint(), 1.0)
     x = rng.uniform(0.0, span / 2, size=400)
     y = rng.uniform(0.0, span / 2, size=400)

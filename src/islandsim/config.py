@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .coefficients import (CoefficientSpec, CustomDiffusion, CustomDrift,
                            DIFFUSION_FAMILIES, DRIFT_FAMILIES,
@@ -58,7 +59,7 @@ def _build_poly(params: dict) -> PiecewisePolynomial:
         raise ConfigError(f"custom family needs {e.args[0]!r} in params") from None
 
 
-def _build_family(section: dict, table: dict, wrapper, label: str):
+def _build_family(section: dict, table: dict, label: str):
     if not isinstance(section, dict):
         raise ConfigError(f"{label} section must be an object")
     family = section.get("family")
@@ -82,9 +83,9 @@ def build_spec(cfg: dict) -> CoefficientSpec:
     cfg = nest_keys(cfg)
     if "drift" not in cfg or "diffusion" not in cfg:
         raise ConfigError("config needs 'drift' and 'diffusion' sections")
-    drift = _build_family(cfg["drift"], DRIFT_FAMILIES, CustomDrift, "drift")
+    drift = _build_family(cfg["drift"], DRIFT_FAMILIES, "drift")
     diffusion = _build_family(cfg["diffusion"], DIFFUSION_FAMILIES,
-                              CustomDiffusion, "diffusion")
+                              "diffusion")
     upper = cfg.get("domain", {}).get("upper", math.inf)
     if isinstance(upper, str):
         if upper.lower() not in ("inf", "infinity"):
@@ -104,8 +105,20 @@ def build_spec(cfg: dict) -> CoefficientSpec:
     return CoefficientSpec(drift, diffusion, domain, structure)
 
 
+def _check_numbers(node, key: str) -> None:
+    """Refuse a JSON integer too large for a float, naming its key."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            _check_numbers(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(node, list):
+        for v in node:
+            _check_numbers(v, key)
+    elif isinstance(node, int) and abs(node) > sys.float_info.max:
+        raise ConfigError(f"{key} holds an integer too large for a float")
+
+
 def load_config(path: str) -> dict:
-    """Read a JSON config file and expand dotted keys."""
+    """Read a JSON config file, expand dotted keys and check its numbers."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -115,4 +128,6 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return nest_keys(raw)
+    raw = nest_keys(raw)
+    _check_numbers(raw, "")
+    return raw

@@ -30,8 +30,9 @@ from .coefficients import (CoefficientSpec, LinearDiffusion, Logistic,
                            DRIFT_FAMILIES, DIFFUSION_FAMILIES)
 from .exceptions import ConfigError
 from .mean_field import duality_gap
-from .sde import (MigrationMatrix, TimeGrid, _check_boundary, _report_nodes,
-                  sample_system_stats, single_batch_stats, write_csv)
+from .sde import (MigrationMatrix, TimeGrid, _check_boundary, _n_islands,
+                  _report_nodes, sample_system_stats, single_batch_stats,
+                  write_csv)
 from .virgin_island import bin_count_reducer, sample_tree_stats, total_mass_reducer
 
 __all__ = [
@@ -61,8 +62,8 @@ class ExpDecreasingConcave:
     def __post_init__(self):
         if len(self.lambdas) != len(self.times) or not self.times:
             raise ConfigError("need one lambda per evaluation time")
-        if any(l < 0.0 for l in self.lambdas):
-            raise ConfigError("lambdas must be nonnegative")
+        if not all(0.0 <= l < math.inf for l in self.lambdas):
+            raise ConfigError("lambdas must be finite and nonnegative")
 
     @property
     def label(self) -> str:
@@ -136,13 +137,12 @@ class SmoothedStep:
 
 def tent(lo: float, hi: float):
     """Tent function on (lo, hi), peak 1 at the midpoint, 0 outside."""
-    if not 0.0 < lo < hi:
-        raise ConfigError("tent support must satisfy 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise ConfigError("tent_support must satisfy 0 < lo < hi < inf")
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     def f(y):
         return np.maximum(0.0, 1.0 - np.abs(np.asarray(y, dtype=float) - mid) / half)
-    f.support = (lo, hi)
     return f
 
 
@@ -180,7 +180,6 @@ class ExperimentConfig:
     topology: object = None          # island count or MigrationMatrix
     x_init: tuple = ()
     functionals: tuple = ()
-    out_dir: str | None = None
     tree_dt: float | None = None     # coarser tree step, default grid.dt
     boundary: str = "exact"
     generation_cap: int = 50
@@ -200,6 +199,8 @@ class ExperimentConfig:
         self.replicates = int(self.replicates)
         if self.replicates < 100:
             raise ConfigError("replicates must be at least 100")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.delta < self.spec.domain.upper:
             raise ConfigError("delta must lie strictly inside the domain")
         if not 0.0 <= self.theta < math.inf:
@@ -210,6 +211,9 @@ class ExperimentConfig:
             raise ConfigError("x_init masses must be finite and nonnegative")
         if self.eval_time is not None:
             self.grid.node_of(self.eval_time, "eval_time")
+        if not 0.0 <= self.diag_fraction <= 1.0:
+            raise ConfigError("diag_fraction must be a number in [0, 1], "
+                              f"got {self.diag_fraction!r}")
 
     def tree_grid(self) -> TimeGrid:
         if self.tree_dt is None or self.tree_dt == self.grid.dt:
@@ -254,7 +258,7 @@ def snapshot_config(cfg: ExperimentConfig) -> dict:
             "grid": {"t0": cfg.grid.t0, "horizon": cfg.grid.horizon,
                      "dt": cfg.grid.dt}}
     for f in dataclasses.fields(cfg):
-        if f.name in ("spec", "grid", "out_dir"):
+        if f.name in ("spec", "grid"):
             continue
         v = getattr(cfg, f.name)
         if f.name == "topology" and isinstance(v, MigrationMatrix):
@@ -285,17 +289,17 @@ class ExperimentReport:
     def config_hash(self) -> str:
         return config_hash(self.config)
 
-    def write(self, out_dir: str, stem: str | None = None):
-        """Write <stem>.csv and <stem>.json; returns both paths."""
-        json_path = self.write_json(out_dir, stem)
+    def write(self, out_dir: str):
+        """Write <experiment>.csv and <experiment>.json; returns both paths."""
+        json_path = self.write_json(out_dir)
         csv_path = json_path[:-len(".json")] + ".csv"
         write_csv(csv_path, self.columns, self.rows)
         return csv_path, json_path
 
-    def write_json(self, out_dir: str, stem: str | None = None) -> str:
-        """Write only the <stem>.json summary; returns its path."""
+    def write_json(self, out_dir: str) -> str:
+        """Write only the <experiment>.json summary; returns its path."""
         os.makedirs(out_dir, exist_ok=True)
-        json_path = os.path.join(out_dir, (stem or self.experiment) + ".json")
+        json_path = os.path.join(out_dir, self.experiment + ".json")
         summary = {"experiment": self.experiment,
                    "config_hash": self.config_hash,
                    "seed": self.seed,
@@ -436,8 +440,9 @@ def _chi2_ppf(q: float, dof: int) -> float:
 # comparison experiment
 # ---------------------------------------------------------------------------
 
-def _system_x0(x_init, n_islands: int) -> np.ndarray:
-    """Root masses placed on the first islands, zeros elsewhere."""
+def _system_x0(x_init, topology) -> np.ndarray:
+    """Root masses placed on the first islands of topology, zeros elsewhere."""
+    n_islands = _n_islands(topology)
     if len(x_init) > n_islands:
         raise ConfigError("more initial masses than islands")
     x0 = np.zeros(n_islands)
@@ -471,13 +476,11 @@ def run_comparison(cfg: ExperimentConfig) -> ExperimentReport:
                           f"unique: {', '.join(repeated)} repeats")
     if cfg.topology is None:
         raise ConfigError("comparison needs a topology")
-    n_islands = cfg.topology.n_islands if isinstance(cfg.topology, MigrationMatrix) \
-        else int(cfg.topology)
 
     times = {t for fn in cfg.functionals for t in fn.times}
     nodes = _report_nodes([cfg.grid.node_of(t) for t in times], cfg.grid)
 
-    x0 = _system_x0(cfg.x_init, n_islands)
+    x0 = _system_x0(cfg.x_init, cfg.topology)
     reducers = {"total": lambda block: block.sum(axis=1)}
     sys_stats = sample_system_stats(cfg.spec, cfg.topology, cfg.theta, x0,
                                     cfg.grid, cfg.seed, cfg.replicates, nodes,
@@ -536,6 +539,10 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     if not isinstance(cfg.spec.diffusion, LinearDiffusion):
         raise ConfigError("convergence experiment requires a linear "
                           "squared-diffusion spec")
+    if len(cfg.tent_support) != 2:
+        raise ConfigError("tent_support must be two numbers [lo, hi]")
+    if not all(float(n).is_integer() for n in cfg.n_ladder):
+        raise ConfigError("n_ladder must hold whole island counts")
     f = tent(*cfg.tent_support)
     t = cfg.grid.horizon if cfg.eval_time is None else float(cfg.eval_time)
     node = cfg.grid.node_of(t)

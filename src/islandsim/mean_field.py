@@ -40,8 +40,6 @@ class ParticleEnsemble:
     """Synchronously coupled particles: the empirical mean at every grid node
     and the particle values at the last one."""
 
-    grid: TimeGrid
-    n_part: int
     mean_curve: np.ndarray
     final_values: np.ndarray
 
@@ -103,8 +101,7 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
                                spec.sigma2(v) * dt, noise[k], dt), 0.0, upper)
         else:
             v, _ = _step(spec, v, dt, gen, boundary, mean_curve[k])
-    return ParticleEnsemble(grid=grid, n_part=n_part, mean_curve=mean_curve,
-                            final_values=v)
+    return ParticleEnsemble(mean_curve=mean_curve, final_values=v)
 
 
 def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,

@@ -35,17 +35,17 @@ Island systems.  One op, `simulate_system`, runs a system under uniform
 hierarchy between the system and the tree).  `sample_system_stats` streams
 replicates of the same modes; both take every step through `_system_step`.
 
-Noise layout.  Object-level ops (those returning a Path, SystemPath or
-LevelSystemPath) draw from one stream: (seed, SINGLE, 0) for
-`simulate_single`, (seed, mode purpose) for `simulate_system`.  A system
-path's draws are therefore not keyed by island: adding an island or raising
-the level cap changes the noise every component sees.  Per-island keys
-would need a per-component scalar loop, a second copy of the step, and no
-caller relies on them.  Object-level ops refuse (ConfigError) a stored path
-over 256 MB.  The batch Monte Carlo engines trade that for throughput:
-replicates are processed in fixed-size chunks, each chunk fed by its own
-(seed, tag, chunk) stream, so results are reproducible and independent of
-worker count but not invariant to the chunk size (a documented constant).
+Noise layout.  Object-level ops (those returning a Path) draw from one
+stream: (seed, SINGLE, 0) for `simulate_single`, (seed, mode purpose) for
+`simulate_system`.  A system path's draws are therefore not keyed by
+island: adding an island or raising the level cap changes the noise every
+component sees.  Per-island keys would need a per-component scalar loop, a
+second copy of the step, and no caller relies on them.  Object-level ops
+refuse (ConfigError) a stored path over 256 MB.  The batch Monte Carlo
+engines trade that for throughput: replicates are processed in fixed-size
+chunks, each chunk fed by its own (seed, tag, chunk) stream, so results
+are reproducible and independent of worker count but not invariant to the
+chunk size (a documented constant).
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .coefficients import CoefficientSpec, LinearDiffusion
+from .coefficients import CoefficientSpec
 from .exceptions import ConfigError, DomainError
 
-DEFAULT_DT = 1e-3
 # fixed batch chunks (replicates per stream); results depend on them, never on
 # worker count
 CHUNK = 8192
@@ -111,70 +110,25 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Path:
-    """Single trajectory on a grid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.grid.n_steps + 1,):
-            raise ConfigError("values must have one entry per grid node")
-
-    def value_at(self, t: float) -> float:
-        return float(np.interp(t, self.grid.times(), self.values))
-
-    def area(self) -> float:
-        return float(np.trapezoid(self.values, dx=self.grid.dt))
-
-    def peak(self) -> float:
-        return float(np.max(self.values))
-
-    def extinction_time(self) -> float | None:
-        hit = np.nonzero(self.values == 0.0)[0]
-        return float(self.grid.times()[hit[0]]) if hit.size else None
-
-
-@dataclass(frozen=True)
-class SystemPath:
-    """Trajectories of a finite island system; values[node, island]."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def total(self) -> np.ndarray:
-        return self.values.sum(axis=1)
-
-    @property
-    def n_islands(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class LevelSystemPath:
-    """Level-decomposed system; values[node, level, island].
+    """Values on a grid, one row per node: shape (nodes,) for a single
+    island, (nodes, islands) for a system and (nodes, levels, islands) for a
+    level-split one.
 
     dropped_mass is the time integral of the would-be inflow into the first
-    truncated level (mass the cap threw away).  `experimental` marks runs
-    whose diffusion family makes the level split approximate rather than
-    exact in law.
+    truncated level (mass the level cap threw away); 0 without levels.
     """
 
     grid: TimeGrid
     values: np.ndarray
-    dropped_mass: float
-    experimental: bool
+    dropped_mass: float = 0.0
 
-    @property
-    def k_max(self) -> int:
-        return self.values.shape[1] - 1
+    def __post_init__(self) -> None:
+        if len(self.values) != self.grid.n_steps + 1 or self.values.ndim > 3:
+            raise ConfigError("values must have one row per grid node")
 
-    @property
-    def n_islands(self) -> int:
-        return self.values.shape[2]
-
-    def unsplit(self) -> SystemPath:
-        """Sum over levels, recovering the plain system view."""
-        return SystemPath(self.grid, self.values.sum(axis=1))
+    def total(self) -> np.ndarray:
+        """The sum over every axis but time, per node."""
+        return self.values.reshape(len(self.values), -1).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +150,6 @@ class MigrationMatrix:
         if np.any(m.sum(axis=1) > 1.0 + 1e-12):
             raise ConfigError("migration row sums must not exceed 1")
         object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def uniform(cls, n: int) -> "MigrationMatrix":
-        return cls(np.full((n, n), 1.0 / n))
 
     @property
     def n_islands(self) -> int:
@@ -237,13 +187,19 @@ _SYSTEM_PURPOSE = {"unsplit": rngmod.SYSTEM, "levels": rngmod.LEVELS,
                    "loop_free": rngmod.LOOP_FREE}
 
 
-def _check_system(spec: CoefficientSpec, topology, theta: float, x0,
-                  mode: str, k_max: int):
-    """Validate system inputs; return (x0 as an array, level cap or None)."""
+def _n_islands(topology) -> int:
+    """The island count, at least 1, of an int or a MigrationMatrix."""
     N = topology.n_islands if isinstance(topology, MigrationMatrix) \
         else int(topology)
     if N < 1:
         raise ConfigError("need at least one island")
+    return N
+
+
+def _check_system(spec: CoefficientSpec, topology, theta: float, x0,
+                  mode: str, k_max: int):
+    """Validate system inputs; return (x0 as an array, level cap or None)."""
+    N = _n_islands(topology)
     if theta < 0:
         raise ConfigError("theta must be nonnegative")
     if mode not in _SYSTEM_PURPOSE:
@@ -356,7 +312,7 @@ def simulate_single(spec: CoefficientSpec, x0: float, grid: TimeGrid,
 
 def simulate_system(spec: CoefficientSpec, topology, theta: float, x0,
                     grid: TimeGrid, seed: int, mode: str = "unsplit",
-                    k_max: int = 0):
+                    k_max: int = 0) -> Path:
     """One path of a finite island system, in one of three views.
 
     topology: an island count (uniform routing: every island receives the
@@ -364,20 +320,21 @@ def simulate_system(spec: CoefficientSpec, topology, theta: float, x0,
     every island also receives the immigration theta/N.
 
       "unsplit": dX(i) = [inflow(i) - X(i) + mu(X(i))] dt
-                 + sqrt(sigma2(X(i))) dB(i); returns a SystemPath.
+                 + sqrt(sigma2(X(i))) dB(i); values[node, island].
       "levels": the system decomposed by immigration level.  Level 0
         receives theta/N, level k >= 1 the routed level k-1.  Reaction terms
         are the total-mass coefficients shared proportionally (exact in law
-        for the linear diffusion family; marked experimental otherwise), and
-        an island's levels are scaled back where their sum exceeds `upper`.
+        for the linear diffusion family, approximate otherwise), and an
+        island's levels are scaled back where their sum exceeds `upper`.
       "loop_free": the same routing, but each level runs its own reaction
         terms, so no mass ever returns to the level it came from.
 
     The split modes start with all mass in level 0, keep levels 0..k_max and
-    return a LevelSystemPath.  Every step is `_system_step`, the exact step
-    of `sample_system_stats`, on draws from the one stream (seed, mode
-    purpose).  Paths are stored whole, so a run needing more than 256 MB for
-    them raises ConfigError up front.
+    give values[node, level, island] and the mass the cap dropped.  Every
+    step is `_system_step`, the exact step of `sample_system_stats`, on
+    draws from the one stream (seed, mode purpose).  The Path is stored
+    whole, so a run needing more than 256 MB for it raises ConfigError up
+    front.
     """
     x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
     v = _start_state(x0, (), L)
@@ -390,12 +347,7 @@ def simulate_system(spec: CoefficientSpec, topology, theta: float, x0,
         v, lost = _system_step(spec, topology, theta, v, mode, grid.dt, gen)
         dropped += lost * grid.dt
         out[k + 1] = v
-    if L is None:
-        return SystemPath(grid, out)
-    experimental = mode == "levels" and not isinstance(spec.diffusion,
-                                                       LinearDiffusion)
-    return LevelSystemPath(grid, out, dropped_mass=dropped,
-                           experimental=experimental)
+    return Path(grid, out, dropped_mass=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -704,10 +656,8 @@ def write_csv(path: str, columns, rows) -> None:
 
 def export_path_csv(obj, fname: str) -> None:
     """Write t,island,level,value rows; level -1 carries the unsplit view."""
-    if not isinstance(obj, (Path, SystemPath, LevelSystemPath)):
-        raise ConfigError(f"cannot export {type(obj).__name__}")
     times = obj.grid.times().tolist()
-    split = isinstance(obj, LevelSystemPath)
+    split = obj.values.ndim == 3
     unsplit = (obj.values.sum(axis=1) if split
                else obj.values.reshape(len(times), -1)).tolist()
     levels = obj.values.transpose(0, 2, 1).tolist() if split else None

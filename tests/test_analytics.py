@@ -39,8 +39,8 @@ from islandsim import (
     speed_mass,
 )
 from islandsim import analytics
-from islandsim.analytics import (_DEFAULT_Q, _log_gamma_rho_unnorm, _log_slice,
-                                 _quad)
+from islandsim.analytics import (_ABS_TOL, _REL_TOL, _log_gamma_rho_unnorm,
+                                 _log_slice, _quad)
 
 
 def feller():
@@ -295,8 +295,7 @@ def _vectorized(f):
 
 
 def _close_to_quadpack(value, ref):
-    q = _DEFAULT_Q
-    assert abs(value - ref) <= 10.0 * max(q.abs_tol, q.rel_tol * abs(ref))
+    assert abs(value - ref) <= 10.0 * max(_ABS_TOL, _REL_TOL * abs(ref))
 
 
 def _kink(x):
@@ -311,7 +310,7 @@ def _kink(x):
 ], ids=["smooth", "kink", "reversed", "tail"])
 def test_quad_matches_quadpack(f, a, b, points):
     ref = integrate.quad(f, a, b, points=points or None, limit=200)[0]
-    _close_to_quadpack(_quad(_vectorized(f), a, b, _DEFAULT_Q, points), ref)
+    _close_to_quadpack(_quad(_vectorized(f), a, b, points), ref)
 
 
 @pytest.mark.parametrize("f, a, b, points", [
@@ -328,7 +327,7 @@ def test_quad_infinite_limits_match_quadpack(f, a, b, points):
               for u, v in zip(edges, edges[1:]))
     if b < a:
         ref = -ref
-    _close_to_quadpack(_quad(_vectorized(f), a, b, _DEFAULT_Q, points), ref)
+    _close_to_quadpack(_quad(_vectorized(f), a, b, points), ref)
 
 
 @pytest.mark.parametrize("f", [
@@ -338,7 +337,7 @@ def test_quad_infinite_limits_match_quadpack(f, a, b, points):
 def test_log_slice_matches_quadpack(f):
     knee = 0.5
     ref = integrate.quad(f, 0.0, knee, limit=200)[0]
-    _close_to_quadpack(_log_slice(_vectorized(f), knee, _DEFAULT_Q), ref)
+    _close_to_quadpack(_log_slice(_vectorized(f), knee), ref)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -349,5 +348,5 @@ def test_quad_returns_a_non_finite_panel_at_once(bad):
         calls.append(len(x))
         return np.where(x > 0.5, bad, 1.0)
 
-    assert not math.isfinite(_quad(f, 0.0, 1.0, _DEFAULT_Q))
+    assert not math.isfinite(_quad(f, 0.0, 1.0))
     assert calls == [21]

@@ -300,6 +300,10 @@ def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
     assert "one step" in capsys.readouterr().err
 
 
+_BIG = 10 ** 400  # a JSON integer past the float range
+_ONE = [{"kind": "one_minus_exp", "lambdas": [1.0], "times": [0.5]}]
+
+
 @pytest.mark.parametrize("command, extra, key", [
     ("compare", {"horizon": math.inf}, "horizon"),
     ("tree", {"horizon": math.inf}, "horizon"),
@@ -328,6 +332,33 @@ def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
     ("identities", {"replicates": 150.7}, "replicates"),  # not truncated
     ("identities", {"seed": 2.9}, "seed"),
     ("compare", {"seed": True}, "seed"),
+    ("identities", {"seed": -1}, "seed"),
+    # integers too large for a float, anywhere in the config
+    ("analyze", {"drift.params.gamma": _BIG}, "drift.params.gamma"),
+    ("analyze", {"domain.upper": _BIG}, "domain.upper"),
+    ("compare", {"topology": {"entries": [[_BIG]]}}, "topology.entries"),
+    ("tree", {"bin_edges": [0.1, _BIG]}, "bin_edges"),
+    ("compare", {"functionals": [{"kind": "one_minus_exp", "lambdas": [_BIG],
+                                  "times": [0.5]}]}, "lambdas"),
+    ("duality", {"duality_points": [[_BIG, 1.0, 0.5]]}, "duality_points"),
+    ("converge", {"tent_support": [0.5, _BIG]}, "tent_support"),
+    ("tree", {"eval_time": _BIG}, "eval_time"),
+    ("analyze", {"y_grid": [_BIG]}, "y_grid"),
+    ("simulate", {"theta": _BIG}, "theta"),
+    ("tree", {"theta": _BIG}, "theta"),
+    ("tree", {"x_init": [_BIG]}, "x_init"),
+    ("simulate", {"dt": _BIG}, "dt"),  # named without its 401 digits
+    # strings are refused, not parsed
+    ("simulate", {"dt": "0.01"}, "dt"),
+    ("simulate", {"horizon": "0.5"}, "horizon"),
+    ("simulate", {"delta": "0.1"}, "delta"),
+    *(("compare", {"diag_fraction": bad, "functionals": _ONE}, "diag_fraction")
+      for bad in (math.nan, math.inf, 1e300)),
+    # an infinite weight or support would write NaN into the report
+    ("compare", {"functionals": [{"kind": "one_minus_exp",
+                                  "lambdas": [math.inf], "times": [0.5]}]},
+     "lambdas"),
+    ("converge", {"tent_support": [0.5, math.inf]}, "tent_support"),
 ])
 def test_bad_config_value_exits_2_and_names_it(tmp_path, capsys, command,
                                                extra, key):
@@ -337,6 +368,7 @@ def test_bad_config_value_exits_2_and_names_it(tmp_path, capsys, command,
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert key in err or "horizon and dt must be finite" in err
+    assert len(err) < 300
     assert not os.path.exists(tmp_path / "o")  # refused before any output
 
 
@@ -407,6 +439,61 @@ _DUALITY_FUZZ = {
         [1.0], [["a", 1.0, 1.0]], []),
     "horizon": (0.1, None, 0.0, math.inf),
 }
+# the run keys every command reads, and those of compare, converge, simulate
+# and analyze: strings, booleans, floats for integers, Infinity and integers
+# past the float range among them
+_COMMON_FUZZ = {
+    "seed": (0, 7, 2 ** 70, None, -1, 2.5, True, "7", math.inf, _BIG),
+    "replicates": (100, 120, None, 99, 0, 100.0, False, "100", math.inf, _BIG),
+    "dt": (0.01, 0.02, None, 0.0, 0.03, -0.01, True, "0.01", math.nan,
+           math.inf, _BIG),
+    "delta": (0.1, 0.3, None, 0.0, -1.0, 1e-300, True, "0.1", math.inf, _BIG),
+    "horizon": (0.1, 0.2, None, 0.0, -1.0, False, "0.1", math.inf, _BIG),
+}
+_AT_01 = [{"kind": "one_minus_exp", "lambdas": [1.0], "times": [0.1]}]
+_FUNCTIONAL_FUZZ = (
+    _AT_01, None, [], [{"kind": "monomial", "times": [0.1, 0.05]}],
+    [{"kind": "step", "thresholds": [0.1], "widths": [0.2], "times": [0.1]}],
+    [{"kind": "step", "thresholds": [0.1], "widths": [0.0], "times": [0.1]}],
+    [{"kind": "one_minus_exp", "lambdas": [1.0], "times": [0.123]}],
+    [{"kind": "one_minus_exp", "lambdas": [math.inf], "times": [0.1]}],
+    [{"kind": "one_minus_exp", "lambdas": [-1.0], "times": [0.1]}],
+    [{"kind": "one_minus_exp", "lambdas": [_BIG], "times": [0.1]}],
+    [{"kind": "cubic"}], "x")
+_TOPOLOGY_FUZZ = (2, 3, {"entries": [[0.5, 0.5], [0.5, 0.5]]}, None, 0, -1,
+                  2.5, True, "2", [[1.0]], {"entries": [[math.nan]]},
+                  {"entries": [[math.inf, 0.0], [0.0, 1.0]]}, _BIG)
+_X_INIT_FUZZ = ([0.2], [0.1, 0.1], [], None, [0.1] * 4, [-0.1], [math.nan],
+                [math.inf], ["a"], 0.5, [True], [_BIG])
+_COMPARE_FUZZ = dict(
+    _COMMON_FUZZ, topology=_TOPOLOGY_FUZZ, x_init=_X_INIT_FUZZ,
+    functionals=_FUNCTIONAL_FUZZ,
+    theta=(0.0, 1.0, None, -1.0, math.nan, math.inf, "1", True, _BIG),
+    diag_fraction=(0.1, 0.5, 1.0, 0.0, None, -0.1, 1.5, math.nan, math.inf,
+                   1e300, "x", True, _BIG),
+    k_max=(0, 2, None, -1, 2.5, "x", True, _BIG),
+    generation_cap=(0, 1, None, -1, 2.5, "x", _BIG),
+    tree_dt=(0.01, 0.02, None, 0.03, 0.0, -0.01, math.nan, math.inf, "x"),
+    boundary=("exact", "clip", "bridge", None, "bogus", 1, True, ["exact"]))
+_CONVERGE_FUZZ = dict(
+    _COMMON_FUZZ, x_init=_X_INIT_FUZZ, theta=_COMPARE_FUZZ["theta"],
+    n_ladder=([1, 2], [3], [2, 1], None, [], [0], [-1], [2.5], [math.inf],
+              [math.nan], [True], ["a"], "x", [_BIG]),
+    tent_support=([0.5, 1.5], [0.1, 0.3], None, [1.5, 0.5], [0.0, 1.0],
+                  [0.5], [0.5, 1.0, 2.0], [math.nan, 1.0], [0.5, math.inf],
+                  [], "x", [0.5, _BIG]),
+    eval_time=(0.1, 0.05, 0.0, None, 0.123, -1.0, math.nan, math.inf, "x",
+               _BIG))
+_SIMULATE_FUZZ = dict(
+    _COMMON_FUZZ, topology=_TOPOLOGY_FUZZ, x_init=_X_INIT_FUZZ,
+    theta=_COMPARE_FUZZ["theta"], k_max=_COMPARE_FUZZ["k_max"],
+    boundary=_COMPARE_FUZZ["boundary"],
+    mode=("single", "uniform", "matrix", "levels", "loop_free", None, "bogus",
+          1, True, ["single"], {"mode": "single"}))
+_ANALYZE_FUZZ = dict(
+    _COMMON_FUZZ,
+    y_grid=([0.0, 1.0], [2.0], None, [], [-1.0], [math.nan], [math.inf],
+            ["a"], "x", 1.0, [_BIG]))
 
 
 def _pairs_of_keys(values):
@@ -420,10 +507,18 @@ def _pairs_of_keys(values):
 @pytest.mark.parametrize("command, values, base", [
     ("identities", _IDENTITIES_FUZZ, {"theta": 1.0, "eps": 0.02}),
     ("duality", _DUALITY_FUZZ, {"n_part": 3, "mv_replicates": 6}),
+    ("compare", _COMPARE_FUZZ, {"topology": 2, "x_init": [0.2],
+                                "functionals": _AT_01}),
+    ("converge", _CONVERGE_FUZZ, {"n_ladder": [1, 2], "x_init": [0.2],
+                                  "theta": 1.0}),
+    ("simulate", _SIMULATE_FUZZ, {"topology": 2, "x_init": [0.2]}),
+    ("analyze", _ANALYZE_FUZZ, {}),
 ])
 def test_fuzzed_run_config_keeps_the_exit_contract(tmp_path_factory, command,
                                                    values, base):
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    # about two draws per value, at least 60
+    @settings(max_examples=max(60, 2 * sum(map(len, values.values()))),
+              deadline=None, derandomize=True)
     @given(_pairs_of_keys(values))
     def run(extra):
         cfg = dict(LOGISTIC, horizon=0.1, dt=0.01, replicates=100, **base)

@@ -147,7 +147,7 @@ def test_validation_passes_builtin_families():
                                  DomainInterval()),
                  CoefficientSpec(SelectionMutation(1.0, 0.5), WrightFisher(),
                                  DomainInterval(1.0))):
-        report = validate_assumptions(spec, probe_count=400)
+        report = validate_assumptions(spec)
         assert report.passed, str(report)
 
 
@@ -155,7 +155,7 @@ def test_validation_flags_quadratic_diffusion():
     # sigma2(y) = y^2 breaks integrability of the speed measure at 0
     spec = CoefficientSpec(Logistic(1.0, 1.0), PowerDiffusion(1.0, 2.0),
                            DomainInterval())
-    report = validate_assumptions(spec, probe_count=400)
+    report = validate_assumptions(spec)
     assert not report.passed
     assert report.failures()
 
@@ -168,12 +168,7 @@ def test_validation_flags_false_concavity_claim():
     spec = CoefficientSpec(CustomDrift(poly), LinearDiffusion(1.0),
                            DomainInterval(),
                            structure=DeclaredStructure(mu_concave=True))
-    report = validate_assumptions(spec, probe_count=400)
+    report = validate_assumptions(spec)
     assert not report.passed
     names = " ".join(c.name for c in report.failures())
     assert "concav" in names or "structure" in names
-
-
-def test_validation_probe_count_floor():
-    with pytest.raises(ConfigError):
-        validate_assumptions(logistic_spec(), probe_count=10)

@@ -81,7 +81,7 @@ def test_excursion_input_validation():
 
 def test_tree_initial_mass_is_exact():
     g = TimeGrid(0.0, 2.0, 0.01)
-    tree = build_tree(logistic_spec(), (0.7, 0.3), 0.5, 2.0, 0.1, g, seed=8)
+    tree = build_tree(logistic_spec(), (0.7, 0.3), 0.5, 0.1, g, seed=8)
     assert tree.total_mass(0.0) == pytest.approx(1.0)
     roots = (tree.parent < 0) & (tree.birth == 0)
     assert roots.sum() == 2
@@ -92,7 +92,7 @@ def test_tree_totals_are_the_slot_engine_replicate():
     # build_tree is replicate 0 of sample_tree_stats(replicates=1, tag=0):
     # its total mass at every node is that engine's reducer, bit for bit
     spec, g = logistic_spec(), TimeGrid(0.0, 1.0, 0.01)
-    tree = build_tree(spec, (0.7, 0.3), 1.0, 1.0, 0.1, g, seed=8)
+    tree = build_tree(spec, (0.7, 0.3), 1.0, 0.1, g, seed=8)
     ref = sample_tree_stats(spec, (0.7, 0.3), 1.0, 0.1, g, seed=8,
                             replicates=1, report_nodes=range(g.n_steps + 1),
                             reducers={"V": total_mass_reducer}, tag=0)
@@ -104,7 +104,7 @@ def test_tree_totals_are_the_slot_engine_replicate():
 
 def test_tree_records_follow_birth_order():
     g = TimeGrid(0.0, 1.0, 0.01)
-    tree = build_tree(logistic_spec(), (0.5,), 2.0, 1.0, 0.1, g, seed=3)
+    tree = build_tree(logistic_spec(), (0.5,), 2.0, 0.1, g, seed=3)
     assert np.all(np.diff(tree.birth) >= 0)
     kids = tree.parent >= 0
     assert np.all(tree.parent[kids] < np.flatnonzero(kids))
@@ -125,7 +125,7 @@ def test_tree_immigrant_count_matches_rate():
     theta, T, delta = 1.0, 20.0, 0.1
     g = TimeGrid(0.0, T, 0.01)
     expected = theta * T / scale_function(spec, delta)
-    tree = build_tree(spec, (), theta, T, delta, g, seed=15)
+    tree = build_tree(spec, (), theta, delta, g, seed=15)
     immigrants = np.count_nonzero((tree.parent < 0) & (tree.birth > 0))
     assert abs(immigrants - expected) < 4.0 * math.sqrt(expected)
 
@@ -141,7 +141,7 @@ def test_tree_direct_children_mean_matches_area_rate():
     S = scale_function(spec, delta)
     diffs, variances = [], []
     for s in range(250):
-        tree = build_tree(spec, (0.5,), 0.0, 6.0, delta, g, seed=1000 + s,
+        tree = build_tree(spec, (0.5,), 0.0, delta, g, seed=1000 + s,
                           generation_cap=1)
         kids = np.count_nonzero(tree.parent == 0)
         lam = tree.area[0] / S
@@ -153,7 +153,7 @@ def test_tree_direct_children_mean_matches_area_rate():
 
 def test_tree_generation_cap_drops_births():
     g = TimeGrid(0.0, 4.0, 0.01)
-    tree = build_tree(logistic_spec(), (1.0,), 1.0, 4.0, 0.1, g, seed=5,
+    tree = build_tree(logistic_spec(), (1.0,), 1.0, 0.1, g, seed=5,
                       generation_cap=0)
     assert np.all(tree.generation == 0)
     assert tree.dropped_births > 0
@@ -161,21 +161,21 @@ def test_tree_generation_cap_drops_births():
 
 def test_tree_validation():
     g = TimeGrid(0.0, 1.0, 0.01)
-    empty = build_tree(logistic_spec(), (0.0,), 0.0, 1.0, 0.1, g, seed=0)
+    empty = build_tree(logistic_spec(), (0.0,), 0.0, 0.1, g, seed=0)
     assert empty.parent.size == 0 and not empty.totals.any()
     with pytest.raises(ConfigError):
-        build_tree(logistic_spec(), (), -1.0, 1.0, 0.1, g, seed=0)
+        build_tree(logistic_spec(), (), -1.0, 0.1, g, seed=0)
     with pytest.raises(ConfigError):
-        build_tree(logistic_spec(), (0.5,), 0.0, 1.0, -0.1, g, seed=0)
+        build_tree(logistic_spec(), (0.5,), 0.0, -0.1, g, seed=0)
     for bad in ((math.nan,), (math.inf,)):
         with pytest.raises(ConfigError, match="finite"):
-            build_tree(logistic_spec(), bad, 0.0, 1.0, 0.1, g, seed=0)
+            build_tree(logistic_spec(), bad, 0.0, 0.1, g, seed=0)
     for theta in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="finite"):
-            build_tree(logistic_spec(), (0.5,), theta, 1.0, 0.1, g, seed=0)
+            build_tree(logistic_spec(), (0.5,), theta, 0.1, g, seed=0)
     for t in (0.123, math.nan, 1.5):
         with pytest.raises(ConfigError, match="grid"):
-            build_tree(logistic_spec(), (0.5,), 0.0, 1.0, 0.1, g, seed=0,
+            build_tree(logistic_spec(), (0.5,), 0.0, 0.1, g, seed=0,
                        spectrum_time=t)
 
 
@@ -188,16 +188,16 @@ def test_tree_path_budget():
     g = TimeGrid(0.0, 0.1, 0.01)
     for theta, delta in ((1.0, 1e-9), (1.0, 1e-300), (0.0, 1e-9)):
         with pytest.raises(SolverError, match="raise delta") as err:
-            build_tree(spec, (0.5,), theta, 0.1, delta, g, seed=0)
+            build_tree(spec, (0.5,), theta, delta, g, seed=0)
         assert "islands at 80 bytes each" in str(err.value)
         assert len(str(err.value)) < 200
     # dropped births take neither slot nor record: only numpy's limit stops
     # them
-    tree = build_tree(spec, (0.5,), 0.0, 0.1, 1e-9, g, seed=0,
+    tree = build_tree(spec, (0.5,), 0.0, 1e-9, g, seed=0,
                       generation_cap=0)
     assert tree.dropped_births > SLOT_BUDGET // (SLOT_BYTES + RECORD_BYTES)
     with pytest.raises(SolverError, match="Poisson mean"):
-        build_tree(spec, (0.5,), 0.0, 0.1, 1e-300, g, seed=0,
+        build_tree(spec, (0.5,), 0.0, 1e-300, g, seed=0,
                    generation_cap=0)
 
 
@@ -205,7 +205,7 @@ def test_tree_records_share_the_slot_budget(monkeypatch):
     # the records of dead islands stay charged: a budget of 40 islands stops
     # a tree whose live islands never number 40
     g = TimeGrid(0.0, 2.0, 0.01)
-    tree = build_tree(subcritical_spec(), (), 2.0, 2.0, 0.1, g, seed=4)
+    tree = build_tree(subcritical_spec(), (), 2.0, 0.1, g, seed=4)
     live = np.array([np.count_nonzero((tree.birth <= k) & ((tree.death < 0)
                                                            | (tree.death > k)))
                      for k in range(g.n_steps + 1)])
@@ -213,14 +213,14 @@ def test_tree_records_share_the_slot_budget(monkeypatch):
     monkeypatch.setattr(virgin_island, "SLOT_BUDGET",
                         40 * (SLOT_BYTES + RECORD_BYTES))
     with pytest.raises(SolverError, match="raise delta"):
-        build_tree(subcritical_spec(), (), 2.0, 2.0, 0.1, g, seed=4)
+        build_tree(subcritical_spec(), (), 2.0, 0.1, g, seed=4)
 
 
 # -- spectrum ----------------------------------------------------------------------
 
 def test_spectrum_counts_roots_at_time_zero():
     g = TimeGrid(0.0, 1.0, 0.01)
-    tree = build_tree(logistic_spec(), (0.7,), 0.0, 1.0, 0.1, g, seed=2,
+    tree = build_tree(logistic_spec(), (0.7,), 0.0, 0.1, g, seed=2,
                       spectrum_time=0.0)
     snap = tree.spectrum((0.1, 0.5, 1.0))
     assert snap.time == 0.0
@@ -230,7 +230,7 @@ def test_spectrum_counts_roots_at_time_zero():
 
 def test_spectrum_export(tmp_path):
     g = TimeGrid(0.0, 1.0, 0.01)
-    tree = build_tree(logistic_spec(), (0.7,), 0.5, 1.0, 0.1, g, seed=2)
+    tree = build_tree(logistic_spec(), (0.7,), 0.5, 0.1, g, seed=2)
     snap = tree.spectrum((0.1, 0.5, 1.0, 2.0))
     assert snap.time == 1.0  # the horizon by default
     f = tmp_path / "spec.csv"
@@ -242,7 +242,7 @@ def test_spectrum_export(tmp_path):
 
 def test_spectrum_is_the_masses_at_its_node():
     g = TimeGrid(0.0, 1.0, 0.01)
-    tree = build_tree(logistic_spec(), (0.7,), 1.0, 1.0, 0.1, g, seed=2,
+    tree = build_tree(logistic_spec(), (0.7,), 1.0, 0.1, g, seed=2,
                       spectrum_time=0.5)
     assert tree.spectrum_values.sum() == pytest.approx(tree.total_mass(0.5),
                                                        rel=1e-12)
@@ -254,7 +254,7 @@ def test_spectrum_is_the_masses_at_its_node():
 
 def test_export_tree_csv_format(tmp_path):
     g = TimeGrid(0.0, 0.05, 0.01)  # short horizon forces censoring
-    tree = build_tree(logistic_spec(), (0.8,), 0.0, 0.05, 0.1, g, seed=3)
+    tree = build_tree(logistic_spec(), (0.8,), 0.0, 0.1, g, seed=3)
     f = tmp_path / "tree.csv"
     export_tree_csv(tree, str(f))
     lines = f.read_text().strip().split("\n")
