@@ -43,7 +43,6 @@ from .sde import (
     MigrationMatrix,
     Path,
     TimeGrid,
-    export_path_csv,
     sample_system_stats,
     simulate_single,
     simulate_system,
@@ -52,8 +51,6 @@ from .sde import (
 from .virgin_island import (
     VirginIslandTree,
     build_tree,
-    export_spectrum_csv,
-    export_tree_csv,
     sample_tree_stats,
 )
 from .mean_field import (
@@ -72,6 +69,8 @@ from .experiments import (
     run_convergence,
     run_duality,
     run_identity_suite,
+    run_simulate,
+    run_tree,
     tent,
 )
 from .config import build_spec, load_config

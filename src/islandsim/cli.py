@@ -2,15 +2,15 @@
 
 Subcommands: analyze, simulate, tree, duality, compare, converge,
 identities.  Every run loads a JSON config (see `config`), applies the
-command line overrides (--seed, --replicates, --dt, --delta), executes, and
-writes CSV plus JSON summary files into --out.  Exit codes: 0 success, 2
-configuration or usage error, 3 numerical failure.
+command line overrides (--seed, --replicates, --dt, --delta), runs the
+command's `experiments` runner and writes its report into --out with
+`ExperimentReport.write`.  Exit codes: 0 success, 2 configuration or usage
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -18,22 +18,17 @@ import numpy as np
 from .config import build_spec, load_config
 from .exceptions import (ConfigError, DivergenceError, DomainError,
                          RegimeError, SolverError)
-from .experiments import (ExperimentConfig, ExperimentReport,
+from .experiments import (_SYSTEM_MODES, ExperimentConfig,
                           ExpDecreasingConcave, MixedMonomial, SmoothedStep,
-                          _system_x0, run_analyze, run_comparison,
-                          run_convergence, run_duality, run_identity_suite,
-                          snapshot_config)
-from .sde import (MigrationMatrix, TimeGrid, export_path_csv, simulate_single,
-                  simulate_system, write_csv)
-from .virgin_island import build_tree, export_spectrum_csv, export_tree_csv
+                          run_analyze, run_comparison, run_convergence,
+                          run_duality, run_identity_suite, run_simulate,
+                          run_tree)
+from .sde import MigrationMatrix, TimeGrid
 
 __all__ = ["cli_main", "main"]
 
 _COMMANDS = ("analyze", "simulate", "tree", "duality", "compare", "converge",
              "identities")
-# simulate mode -> simulate_system mode; "single" runs simulate_single
-_SYSTEM_MODES = {"uniform": "unsplit", "matrix": "unsplit", "levels": "levels",
-                 "loop_free": "loop_free"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,86 +133,27 @@ def _experiment_config(raw: dict, spec, args) -> ExperimentConfig:
     return ExperimentConfig(spec=spec, grid=grid, **kwargs)
 
 
-def _cmd_analyze(raw, spec, args) -> int:
-    cfg = _experiment_config(raw, spec, args)
-    report = run_analyze(cfg)
-    csv_path, _ = report.write(args.out)
-    curve = report.metrics["survival"]
-    surv = os.path.join(args.out, "survival.csv")
-    write_csv(surv, ("y", "extinction_prob"), curve)
-    for name, value in report.rows:
-        print(f"{name},{value!r}" if isinstance(value, float)
-              else f"{name},{value}")
-    print("y,extinction_prob")
-    for y, p in curve:
-        print(f"{y!r},{p!r}")
-    print(f"wrote {csv_path} and {surv}")
-    return 0
-
-
-def _cmd_simulate(raw, spec, args) -> int:
-    cfg = _experiment_config(raw, spec, args)
+def _simulate_mode(raw):
+    """The simulate mode; a system mode refuses the retired n_islands key."""
     mode = raw.get("mode", "uniform")
-    if mode == "single":
-        x0 = cfg.x_init[0] if cfg.x_init else 0.5
-        path = simulate_single(spec, x0, cfg.grid, cfg.seed,
-                               boundary=cfg.boundary)
-    elif isinstance(mode, str) and mode in _SYSTEM_MODES:
-        if "n_islands" in raw:
-            raise ConfigError("simulate takes the island count from "
-                              "'topology'; 'n_islands' is not a key")
-        top = 5 if cfg.topology is None else cfg.topology
-        if mode == "matrix" and not isinstance(top, MigrationMatrix):
-            raise ConfigError("matrix mode needs topology.entries")
-        x0 = _system_x0(cfg.x_init, top)
-        path = simulate_system(spec, top, cfg.theta, x0, cfg.grid, cfg.seed,
-                               mode=_SYSTEM_MODES[mode], k_max=cfg.k_max)
+    if "n_islands" in raw and isinstance(mode, str) and mode in _SYSTEM_MODES:
+        raise ConfigError("simulate takes the island count from "
+                          "'topology'; 'n_islands' is not a key")
+    return mode
+
+
+def _stdout_lines(command: str, report, paths) -> list:
+    """analyze's rows and survival curve, or the verdicts; then the files."""
+    if command == "analyze":
+        lines = [f"{name},{value!r}" if isinstance(value, float)
+                 else f"{name},{value}" for name, value in report.rows]
+        lines += ["y,extinction_prob"] + [
+            f"{y!r},{p!r}" for y, p in report.metrics["survival"]]
     else:
-        raise ConfigError(f"unknown simulate mode {mode!r}")
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "simulate.csv")
-    export_path_csv(path, csv_path)
-    snap = snapshot_config(cfg)
-    snap["mode"] = mode
-    ExperimentReport("simulate", cfg.seed, snap, (), [],
-                     {"nodes": len(path.values),
-                      "final_total": float(path.total()[-1])}).write_json(args.out)
-    print(f"wrote {csv_path}")
-    return 0
-
-
-def _cmd_tree(raw, spec, args) -> int:
-    cfg = _experiment_config(raw, spec, args)
-    tree = build_tree(spec, cfg.x_init, cfg.theta, cfg.delta, cfg.grid,
-                      cfg.seed,
-                      generation_cap=cfg.generation_cap,
-                      boundary=cfg.boundary, spectrum_time=cfg.eval_time)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "tree.csv")
-    export_tree_csv(tree, csv_path)
-    extras = {}
-    if "bin_edges" in raw:
-        export_spectrum_csv(tree.spectrum(cfg.bin_edges),
-                            os.path.join(args.out, "spectrum.csv"))
-        extras["spectrum_csv"] = "spectrum.csv"  # next to tree.json
-    ExperimentReport("tree", cfg.seed, snapshot_config(cfg), (), [],
-                     {"islands": tree.parent.size,
-                      "censored": int(np.count_nonzero(tree.death < 0)),
-                      "dropped_births": tree.dropped_births,
-                      "total_mass_at_horizon": float(tree.totals[-1]),
-                      **extras}).write_json(args.out)
-    print(f"wrote {csv_path}")
-    return 0
-
-
-def _run_report(runner, raw, spec, args) -> int:
-    cfg = _experiment_config(raw, spec, args)
-    report = runner(cfg)
-    csv_path, json_path = report.write(args.out)
-    for name, ok in report.verdicts.items():
-        print(f"verdict,{name},{'pass' if ok else 'fail'}")
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+        lines = [f"verdict,{name},{'pass' if ok else 'fail'}"
+                 for name, ok in report.verdicts.items()]
+    shown = paths[:1] if command in ("simulate", "tree") else paths[:2]
+    return lines + ["wrote " + " and ".join(shown)]
 
 
 def cli_main(argv=None) -> int:
@@ -228,17 +164,19 @@ def cli_main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         raw = load_config(args.config)
-        spec = build_spec(raw)
-        if args.command == "analyze":
-            return _cmd_analyze(raw, spec, args)
-        if args.command == "simulate":
-            return _cmd_simulate(raw, spec, args)
-        if args.command == "tree":
-            return _cmd_tree(raw, spec, args)
-        runner = {"duality": run_duality, "compare": run_comparison,
+        cfg = _experiment_config(raw, build_spec(raw), args)
+        # looked up at call time, so a wrapped runner is the one called
+        runner = {"analyze": run_analyze,
+                  "simulate": lambda c: run_simulate(c, _simulate_mode(raw)),
+                  "tree": lambda c: run_tree(c, "bin_edges" in raw),
+                  "duality": run_duality, "compare": run_comparison,
                   "converge": run_convergence,
                   "identities": run_identity_suite}[args.command]
-        return _run_report(runner, raw, spec, args)
+        report = runner(cfg)
+        for line in _stdout_lines(args.command, report,
+                                  report.write(args.out)):
+            print(line)
+        return 0
     except (ConfigError, DomainError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
-"""Experiment harness: comparison, convergence, duality, identity suite.
+"""Experiment harness: one runner per command, from analyze to identities.
 
-Each run_* function takes an ExperimentConfig, drives the streaming Monte
-Carlo engines, and returns an ExperimentReport carrying rows (CSV), scalar
-metrics, and named verdicts.  Reports embed the resolved configuration and
-the master seed, and write a CSV plus a JSON summary keyed by a hash of that
-configuration.
+Each run_* function takes an ExperimentConfig, drives the engines (one
+stored path in `run_simulate`, one tree in `run_tree`), and returns an
+ExperimentReport carrying rows (CSV), extra tables, scalar metrics, and
+named verdicts.  Reports embed the resolved configuration and the master
+seed; `ExperimentReport.write`, the package's only file writer, writes the
+CSVs plus a JSON summary keyed by a hash of that configuration.
 
 Comparison verdicts are one-sided by design: the stochastic order being
 checked puts the system total mass below the virgin-island mass for the
@@ -30,16 +31,17 @@ from .coefficients import (CoefficientSpec, LinearDiffusion, Logistic,
                            DRIFT_FAMILIES, DIFFUSION_FAMILIES)
 from .exceptions import ConfigError
 from .mean_field import duality_gap
-from .sde import (MigrationMatrix, TimeGrid, _check_boundary, _n_islands,
-                  _report_nodes, sample_system_stats, single_batch_stats,
-                  write_csv)
-from .virgin_island import bin_count_reducer, sample_tree_stats, total_mass_reducer
+from .sde import (MigrationMatrix, TimeGrid, _check_boundary, _check_budget,
+                  _n_islands, _report_nodes, sample_system_stats,
+                  simulate_single, simulate_system, single_batch_stats)
+from .virgin_island import (bin_count_reducer, build_tree, sample_tree_stats,
+                            total_mass_reducer)
 
 __all__ = [
     "ExpDecreasingConcave", "MixedMonomial", "SmoothedStep", "tent",
     "ExperimentConfig", "ExperimentReport", "config_hash",
     "run_comparison", "run_convergence", "run_identity_suite", "run_duality",
-    "run_analyze",
+    "run_analyze", "run_simulate", "run_tree",
 ]
 
 
@@ -275,41 +277,61 @@ def config_hash(snapshot: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _fmt(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    return str(v)
+
+
+def write_csv(path: str, columns, rows) -> None:
+    """Write the header `columns` and one line per row of `rows`.
+
+    The one CSV format of the package: fields joined by commas, unquoted,
+    floats as repr, booleans as true/false, LF line ends.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
 @dataclass
 class ExperimentReport:
+    """A command's result; tables maps the stem of each extra CSV to its
+    (columns, rows)."""
+
     experiment: str
     seed: int
     config: dict
     columns: tuple
-    rows: list
+    rows: object
     metrics: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
 
-    @property
-    def config_hash(self) -> str:
-        return config_hash(self.config)
-
-    def write(self, out_dir: str):
-        """Write <experiment>.csv and <experiment>.json; returns both paths."""
-        json_path = self.write_json(out_dir)
-        csv_path = json_path[:-len(".json")] + ".csv"
-        write_csv(csv_path, self.columns, self.rows)
-        return csv_path, json_path
-
-    def write_json(self, out_dir: str) -> str:
-        """Write only the <experiment>.json summary; returns its path."""
+    def write(self, out_dir: str) -> tuple:
+        """Write <experiment>.csv, a <stem>.csv per table and
+        <experiment>.json into out_dir, creating it; returns the CSV paths,
+        then the JSON path.  Each rows object is iterated once, so rows may
+        stream from a generator."""
         os.makedirs(out_dir, exist_ok=True)
-        json_path = os.path.join(out_dir, self.experiment + ".json")
+        tables = {self.experiment: (self.columns, self.rows), **self.tables}
+        paths = [os.path.join(out_dir, stem + ".csv") for stem in tables]
+        for path, (columns, rows) in zip(paths, tables.values()):
+            write_csv(path, columns, rows)
+        paths.append(os.path.join(out_dir, self.experiment + ".json"))
         summary = {"experiment": self.experiment,
-                   "config_hash": self.config_hash,
+                   "config_hash": config_hash(self.config),
                    "seed": self.seed,
                    "metrics": _jsonable(self.metrics),
                    "verdicts": {k: bool(v) for k, v in self.verdicts.items()},
                    "config": self.config}
-        with open(json_path, "w") as fh:
+        with open(paths[-1], "w") as fh:
             json.dump(summary, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        return json_path
+        return tuple(paths)
 
 
 def _mean_se(values: np.ndarray):
@@ -350,13 +372,13 @@ _CHI2_99 = (
 )
 
 
-def _gamma_tail(a: float, y: float, upper: bool) -> float:
-    """Regularized incomplete gamma P(a, y), or Q(a, y) = 1 - P if upper.
+def _gamma_tail(a: float, y: float) -> float:
+    """Regularized upper incomplete gamma Q(a, y) = 1 - P(a, y).
 
-    A series for P below y = a + 1 and a continued fraction (modified Lentz)
-    for Q above, so a tail taken as 1 minus the other is never below about
-    0.08 and loses at most a digit.  The prefactor y^a e^-y / Gamma(a) is
-    taken in logs, so large a does not overflow.
+    1 minus a series for P below y = a + 1 and a continued fraction
+    (modified Lentz) for Q above, so Q taken as 1 - P is never below about
+    0.08 and loses at most a digit.  The prefactor
+    y^a e^-y / Gamma(a) is taken in logs, so large a does not overflow.
     """
     log_pre = a * math.log(y) - y - math.lgamma(a)
     if y < a + 1.0:
@@ -366,8 +388,7 @@ def _gamma_tail(a: float, y: float, upper: bool) -> float:
             n += 1.0
             term *= y / n
             total += term
-        p = math.exp(log_pre) * total
-        return 1.0 - p if upper else p
+        return 1.0 - math.exp(log_pre) * total
     b = y + 1.0 - a
     c = 1.0 / _TINY
     d = h = 1.0 / b
@@ -383,40 +404,33 @@ def _gamma_tail(a: float, y: float, upper: bool) -> float:
         h *= d * c
         if abs(d * c - 1.0) <= _EPS:
             break
-    q = math.exp(log_pre) * h
-    return q if upper else 1.0 - q
+    return math.exp(log_pre) * h
 
 
-def _chi2_ppf(q: float, dof: int) -> float:
-    """The chi-square quantile: x with P(chi2_dof <= x) = q, for 0 < q < 1.
+def _chi2_ppf(dof: int) -> float:
+    """The chi-square 0.99 quantile: x with P(chi2_dof <= x) = 0.99.
 
-    At q = 0.99 and dof 1-64 it is `_CHI2_99`, scipy.stats.chi2.ppf's value
-    bit for bit.  Otherwise it inverts the CDF P(dof/2, x/2) in the module:
-    a Wilson-Hilferty start (the power law P ~ y^a / Gamma(a + 1) where that
-    start is negative), then Halley steps on the smaller tail (Q = 1 - q
-    above the median), bisecting whenever a step leaves the bracket seen so
-    far (DiDonato and Morris, ACM TOMS 12, 1986).  Against
-    scipy.stats.chi2.ppf it agrees within 1e-12 relative: at most about 100
-    ulp for q = 0.99 and dof up to 1000, where the log prefactor's rounding
-    dominates.
+    For dof 1-64 it is `_CHI2_99`, scipy.stats.chi2.ppf's value bit for
+    bit.  Above, it inverts the upper tail Q(dof/2, x/2) = 0.01 in the
+    module: a Wilson-Hilferty start, then Halley steps, bisecting whenever a
+    step leaves the bracket seen so far (DiDonato and Morris, ACM TOMS 12,
+    1986).  Against scipy.stats.chi2.ppf it agrees within 1e-12 relative:
+    at most about 100 ulp for dof up to 1000, where the log prefactor's
+    rounding dominates.
     """
-    if q == 0.99 and 1 <= dof <= len(_CHI2_99):
+    if 1 <= dof <= len(_CHI2_99):
         return _CHI2_99[dof - 1]
     a = dof / 2.0
-    upper = q > 0.5
-    target = 1.0 - q if upper else q
+    target = 1.0 - 0.99
     # Abramowitz and Stegun 26.2.23 for the normal quantile, |error| < 4.5e-4
     t = math.sqrt(-2.0 * math.log(target))
     z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
         1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
     h = 2.0 / (9.0 * dof)
-    w = 1.0 - h + (z if upper else -z) * math.sqrt(h)
-    y = 0.5 * dof * w ** 3 if w > 0.0 else \
-        math.exp((math.log(q) + math.lgamma(a + 1.0)) / a)
+    y = 0.5 * dof * (1.0 - h + z * math.sqrt(h)) ** 3  # the cube is > 0
     lo, hi = 0.0, math.inf
     for _ in range(100):
-        p = _gamma_tail(a, y, upper)
-        f = target - p if upper else p - target  # increasing in y
+        f = target - _gamma_tail(a, y)  # increasing in y
         if f == 0.0:
             break
         if f > 0.0:
@@ -443,6 +457,7 @@ def _chi2_ppf(q: float, dof: int) -> float:
 def _system_x0(x_init, topology) -> np.ndarray:
     """Root masses placed on the first islands of topology, zeros elsewhere."""
     n_islands = _n_islands(topology)
+    _check_budget(8 * n_islands, "topology or n_ladder")
     if len(x_init) > n_islands:
         raise ConfigError("more initial masses than islands")
     x0 = np.zeros(n_islands)
@@ -699,7 +714,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> ExperimentReport:
             chi2 += (obs - expect) ** 2 / obs_se ** 2
         bin_rows.append((edges[i], edges[i + 1], obs, obs_se, expect))
     dof = len(edges) - 1
-    chi2_crit = _chi2_ppf(0.99, dof)
+    chi2_crit = _chi2_ppf(dof)
 
     columns = ("check", "quadrature", "mc_estimate", "mc_se", "rel_gap",
                "within_5pct")
@@ -766,11 +781,12 @@ def run_duality(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# analytic summary
+# analytic summary, one path, one tree
 # ---------------------------------------------------------------------------
 
 def run_analyze(cfg: ExperimentConfig) -> ExperimentReport:
-    """Extinction criterion, regime verdict, and (logistic) survival curve."""
+    """Extinction criterion, regime verdict, and (logistic) survival curve,
+    also the table "survival" (y, extinction_prob)."""
     spec = cfg.spec
     theta = extinction_criterion(spec)
     regime = classify_regime(theta)
@@ -790,4 +806,88 @@ def run_analyze(cfg: ExperimentConfig) -> ExperimentReport:
             metrics["survival"].append(
                 (float(y), extinction_probability(sol, float(y))))
     return ExperimentReport("analyze", cfg.seed, snapshot_config(cfg),
-                            columns, rows, metrics, verdicts)
+                            columns, rows, metrics, verdicts,
+                            {"survival": (("y", "extinction_prob"),
+                                          metrics["survival"])})
+
+
+# simulate mode -> simulate_system mode; "single" runs simulate_single
+_SYSTEM_MODES = {"uniform": "unsplit", "matrix": "unsplit", "levels": "levels",
+                 "loop_free": "loop_free"}
+
+
+def _path_rows(path):
+    """t, island, level, value rows; level -1 carries the island total."""
+    times = path.grid.times().tolist()
+    split = path.values.ndim == 3
+    unsplit = (path.values.sum(axis=1) if split
+               else path.values.reshape(len(times), -1)).tolist()
+    levels = path.values.transpose(0, 2, 1).tolist() if split else None
+    for k, t in enumerate(times):
+        for i, total in enumerate(unsplit[k]):
+            yield t, i, -1, total
+            for lev, value in enumerate(levels[k][i] if split else ()):
+                yield t, i, lev, value
+
+
+def run_simulate(cfg: ExperimentConfig, mode) -> ExperimentReport:
+    """One path: a single island from x_init[0] (default 0.5) in mode
+    "single", else `simulate_system` on cfg.topology (default 5 islands;
+    "matrix" needs a MigrationMatrix)."""
+    if mode == "single":
+        x0 = cfg.x_init[0] if cfg.x_init else 0.5
+        path = simulate_single(cfg.spec, x0, cfg.grid, cfg.seed,
+                               boundary=cfg.boundary)
+    elif isinstance(mode, str) and mode in _SYSTEM_MODES:
+        top = 5 if cfg.topology is None else cfg.topology
+        if mode == "matrix" and not isinstance(top, MigrationMatrix):
+            raise ConfigError("matrix mode needs topology.entries")
+        path = simulate_system(cfg.spec, top, cfg.theta,
+                               _system_x0(cfg.x_init, top), cfg.grid, cfg.seed,
+                               mode=_SYSTEM_MODES[mode], k_max=cfg.k_max)
+    else:
+        raise ConfigError(f"unknown simulate mode {mode!r}")
+    snap = snapshot_config(cfg)
+    snap["mode"] = mode
+    return ExperimentReport("simulate", cfg.seed, snap,
+                            ("t", "island", "level", "value"),
+                            _path_rows(path),
+                            {"nodes": len(path.values),
+                             "final_total": float(path.total()[-1])})
+
+
+def _tree_rows(tree):
+    """island_id, parent_id, generation, s, T0, peak, area rows: ids in
+    birth order, s the birth time and T0 the local extinction time on the
+    grid ("inf" when censored), parent_id empty for roots and immigrants."""
+    dt = tree.grid.dt
+    for i, (parent, generation, birth, death, peak, area) in enumerate(
+            zip(tree.parent.tolist(), tree.generation.tolist(),
+                tree.birth.tolist(), tree.death.tolist(),
+                tree.peak.tolist(), tree.area.tolist())):
+        yield (i, "" if parent < 0 else parent, generation, birth * dt,
+               "inf" if death < 0 else (death - birth) * dt, peak, area)
+
+
+def run_tree(cfg: ExperimentConfig, spectrum: bool) -> ExperimentReport:
+    """One virgin-island tree, a row per island; with spectrum, the table
+    "spectrum" bins the island masses at eval_time on bin_edges."""
+    tree = build_tree(cfg.spec, cfg.x_init, cfg.theta, cfg.delta, cfg.grid,
+                      cfg.seed, generation_cap=cfg.generation_cap,
+                      boundary=cfg.boundary, spectrum_time=cfg.eval_time)
+    metrics = {"islands": tree.parent.size,
+               "censored": int(np.count_nonzero(tree.death < 0)),
+               "dropped_births": tree.dropped_births,
+               "total_mass_at_horizon": float(tree.totals[-1])}
+    tables = {}
+    if spectrum:
+        snap = tree.spectrum(cfg.bin_edges)
+        edges = snap.edges.tolist()
+        tables["spectrum"] = (("t", "bin_lo", "bin_hi", "count"), (
+            (snap.time, edges[i], edges[i + 1], count)
+            for i, count in enumerate(snap.counts.tolist())))
+        metrics["spectrum_csv"] = "spectrum.csv"  # next to tree.json
+    return ExperimentReport("tree", cfg.seed, snapshot_config(cfg),
+                            ("island_id", "parent_id", "generation", "s", "T0",
+                             "peak", "area"),
+                            _tree_rows(tree), metrics, tables=tables)

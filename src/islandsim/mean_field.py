@@ -23,7 +23,7 @@ import numpy as np
 from . import rng as rngmod
 from .coefficients import CoefficientSpec, LinearDiffusion, Logistic
 from .exceptions import ConfigError, DomainError
-from .sde import TimeGrid, _euler, _step
+from .sde import TimeGrid, _check_budget, _euler, _step
 from .virgin_island import sample_tree_stats, total_mass_reducer
 
 __all__ = ["ParticleEnsemble", "simulate_mckean_vlasov", "duality_gap"]
@@ -62,12 +62,16 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
     clamp bias near 0 that distorts laws with mass at small values, above it
     clamped Euler.  It draws from one sequential stream per ensemble, so
     permutation invariance then holds in law rather than bit for bit.
+    Particle values, and under "clip" the noise of every step, over 256 MB
+    raise ConfigError before any draw.
     """
     n_part = int(n_part)
     if n_part < 2:
         raise ConfigError("need at least two particles")
     if boundary not in ("clip", "exact"):
         raise ConfigError(f"unknown boundary scheme {boundary!r}")
+    _check_budget(8 * n_part * (grid.n_steps if boundary == "clip" else 1),
+                  "n_part")
     if callable(init):
         v = np.asarray(init(rngmod.substream(seed, rngmod.INIT, ensemble_tag)),
                        dtype=float)
@@ -122,7 +126,9 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     meaning where the mean inflow keeps 0 from absorbing).
     The mean-field SE is taken across all particles of all ensembles;
     within-ensemble coupling through the empirical mean is O(1/n_part), and
-    running several independent ensembles keeps the SE honest.
+    running several independent ensembles keeps the SE honest.  Final
+    particle values over 256 MB in all (kept for the SE) raise ConfigError
+    before the first ensemble.
     """
     if min(gamma, K, beta) <= 0.0:
         raise ConfigError("gamma, K, beta must be positive")
@@ -156,6 +162,7 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     g = np.exp(-c * x * res["V"][0])
     lhs = float(g.mean())
     se_lhs = float(g.std(ddof=1) / math.sqrt(g.size))
+    _check_budget(8 * n_ensembles * n_part, "n_part or mv_replicates")
     vals = []
     for e in range(n_ensembles):
         ens = simulate_mckean_vlasov(

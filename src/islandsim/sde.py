@@ -45,7 +45,9 @@ refuse (ConfigError) a stored path over 256 MB.  The batch Monte Carlo
 engines trade that for throughput: replicates are processed in fixed-size
 chunks, each chunk fed by its own (seed, tag, chunk) stream, so results
 are reproducible and independent of worker count but not invariant to the
-chunk size (a documented constant).
+chunk size (a documented constant).  Before their first allocation or
+draw, they refuse (ConfigError) a budget whose returned arrays or
+per-chunk state would pass the same 256 MB.  No file I/O happens here.
 """
 
 from __future__ import annotations
@@ -177,6 +179,13 @@ def _check_storage(grid: TimeGrid, width: int) -> None:
         raise ConfigError("grid too large for full storage; use the batch engines")
 
 
+def _check_budget(nbytes: int, keys: str) -> None:
+    """Refuse arrays over 256 MB, naming the config keys that size them."""
+    if nbytes > 2**28:
+        raise ConfigError(f"{keys}: {nbytes / 2**20:.3g} MB of arrays would "
+                          "pass the 256 MB budget")
+
+
 # ---------------------------------------------------------------------------
 # island systems: routing, inflow and the one step body
 # ---------------------------------------------------------------------------
@@ -215,6 +224,9 @@ def _check_system(spec: CoefficientSpec, topology, theta: float, x0,
 
 def _start_state(x0: np.ndarray, lead: tuple, k_max: int | None) -> np.ndarray:
     """x0 repeated over the leading axes; with levels, all of it in level 0."""
+    levels = 1 if k_max is None else k_max + 1
+    _check_budget(8 * math.prod(lead) * levels * x0.size,
+                  "topology, n_ladder or k_max")
     if k_max is None:
         return np.broadcast_to(x0, lead + x0.shape).copy()
     v = np.zeros(lead + (k_max + 1, x0.size))
@@ -549,6 +561,7 @@ def single_batch_stats(spec: CoefficientSpec, x0: float, dt: float, seed: int,
     """
     _check_x0(spec, x0)
     _check_boundary(boundary)
+    _check_budget(17 * replicates, "replicates")  # area, peak, hit
     areas, peaks, hits = [], [], []
     censored = 0
     n_chunks = (replicates + CHUNK - 1) // CHUNK
@@ -606,6 +619,8 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
     """
     x0, L = _check_system(spec, topology, theta, x0, mode, k_max)
     report_nodes = _report_nodes(report_nodes, grid)
+    _check_budget(8 * len(report_nodes) * replicates * len(reducers),
+                  "replicates")
     report_set = {node: j for j, node in enumerate(report_nodes)}
     out = {name: np.empty((len(report_nodes), replicates)) for name in reducers}
     dropped_total = 0.0
@@ -628,45 +643,3 @@ def sample_system_stats(spec: CoefficientSpec, topology, theta: float, x0,
                     out[name][j, r0:r0 + r] = fn(block)
     out["_dropped_mass"] = dropped_total
     return out
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    return str(v)
-
-
-def write_csv(path: str, columns, rows) -> None:
-    """Write the header `columns` and one line per row of `rows`.
-
-    The one CSV format of the package: fields joined by commas, unquoted,
-    floats as repr, booleans as true/false, LF line ends.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
-
-
-def export_path_csv(obj, fname: str) -> None:
-    """Write t,island,level,value rows; level -1 carries the unsplit view."""
-    times = obj.grid.times().tolist()
-    split = obj.values.ndim == 3
-    unsplit = (obj.values.sum(axis=1) if split
-               else obj.values.reshape(len(times), -1)).tolist()
-    levels = obj.values.transpose(0, 2, 1).tolist() if split else None
-
-    def rows():
-        for k, t in enumerate(times):
-            for i, total in enumerate(unsplit[k]):
-                yield t, i, -1, total
-                for lev, value in enumerate(levels[k][i] if split else ()):
-                    yield t, i, lev, value
-
-    write_csv(fname, ("t", "island", "level", "value"), rows())

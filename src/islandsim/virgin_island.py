@@ -13,7 +13,8 @@ One engine grows trees: `sample_tree_stats` advances many replicate trees
 on a shared clock as flat slot arrays, reducing functionals of the island
 values at report nodes.  `build_tree` runs one replicate of it with a
 recorder that keeps one record per island (ids in birth order) and the
-total mass at every node.
+total mass at every node.  The module does no file I/O; `experiments`
+lays a tree out as CSV rows.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from . import rng as rngmod
 from .analytics import scale_function
 from .coefficients import CoefficientSpec
 from .exceptions import ConfigError, SolverError
-from .sde import (TimeGrid, _check_boundary, _check_storage, _report_nodes,
-                  _step, write_csv)
+from .sde import (TimeGrid, _check_boundary, _check_budget, _check_storage,
+                  _report_nodes, _step)
 
 __all__ = [
     "VirginIslandTree", "SpectrumSnapshot", "excursion_mass_above",
     "build_tree", "sample_tree_stats", "total_mass_reducer",
-    "bin_count_reducer", "export_tree_csv", "export_spectrum_csv",
+    "bin_count_reducer",
 ]
 
 TREE_CHUNK = 4096  # replicates per chunk in the ensemble engine
@@ -147,6 +148,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
     slot order, immigrants in replicate order.  A step whose slots would
     pass SLOT_BUDGET bytes raises SolverError before the allocation draws,
     and before any draw when the mean number of new slots alone passes it.
+    Result arrays past it raise ConfigError before any allocation.
     Dropped births take no slot; they raise SolverError only when their mean
     passes the largest one numpy draws (POISSON_LAM_MAX).
 
@@ -171,6 +173,7 @@ def sample_tree_stats(spec: CoefficientSpec, x_init, theta: float, delta: float,
     imm_lam = theta * dt * inv_mass
     roots = np.asarray([x for x in x_init if x > 0.0])
     island_bytes = SLOT_BYTES + (0 if recorder is None else RECORD_BYTES)
+    _check_budget(8 * len(nodes) * replicates * len(reducers), "replicates")
 
     out = {name: np.empty((len(nodes), replicates)) for name in reducers}
     dropped = 0
@@ -380,33 +383,3 @@ def build_tree(spec: CoefficientSpec, x_init, theta: float, delta: float,
         peak[ids], area[ids], death[ids] = pk, ar, node
     return VirginIslandTree(grid, parent, generation, birth, death, peak, area,
                             rec.totals, dropped, t_snap, rec.spectrum)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def export_tree_csv(tree: VirginIslandTree, fname: str) -> None:
-    """Rows: island_id, parent_id, generation, s, T0, peak, area.
-
-    Ids follow birth order; s is the birth node's time and T0 the local
-    extinction time, both on the grid ("inf" when censored); parent_id is
-    empty for roots and immigrants.
-    """
-    dt = tree.grid.dt
-    write_csv(fname, ("island_id", "parent_id", "generation", "s", "T0",
-                      "peak", "area"), (
-        (i, "" if parent < 0 else parent, generation, birth * dt,
-         "inf" if death < 0 else (death - birth) * dt, peak, area)
-        for i, (parent, generation, birth, death, peak, area) in enumerate(
-            zip(tree.parent.tolist(), tree.generation.tolist(),
-                tree.birth.tolist(), tree.death.tolist(),
-                tree.peak.tolist(), tree.area.tolist()))))
-
-
-def export_spectrum_csv(snap: SpectrumSnapshot, fname: str) -> None:
-    """Rows: t, bin_lo, bin_hi, count."""
-    edges = snap.edges.tolist()
-    write_csv(fname, ("t", "bin_lo", "bin_hi", "count"),
-              ((snap.time, edges[i], edges[i + 1], count)
-               for i, count in enumerate(snap.counts.tolist())))

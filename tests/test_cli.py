@@ -115,7 +115,7 @@ def test_unknown_boundary_exits_2_before_any_engine_runs(tmp_path, capsys,
         raise AssertionError("an engine ran before the config was checked")
 
     monkeypatch.setattr("islandsim.experiments.sample_system_stats", engine)
-    monkeypatch.setattr("islandsim.cli.simulate_system", engine)
+    monkeypatch.setattr("islandsim.experiments.simulate_system", engine)
     cfg = write_cfg(tmp_path, mode="uniform", topology=3, x_init=[0.2],
                     boundary="bogus")
     assert cli_main([command, "--config", cfg,
@@ -301,6 +301,7 @@ def test_tree_horizon_under_half_a_step_exits_2(tmp_path, capsys):
 
 
 _BIG = 10 ** 400  # a JSON integer past the float range
+_HUGE = 10 ** 18  # a float-sized budget past every array budget
 _ONE = [{"kind": "one_minus_exp", "lambdas": [1.0], "times": [0.5]}]
 
 
@@ -359,6 +360,16 @@ _ONE = [{"kind": "one_minus_exp", "lambdas": [1.0], "times": [0.5]}]
                                   "lambdas": [math.inf], "times": [0.5]}]},
      "lambdas"),
     ("converge", {"tent_support": [0.5, math.inf]}, "tent_support"),
+    # well-formed budgets whose arrays would pass 256 MB: exit 2 before the
+    # allocation, not numpy's MemoryError (exit 1) or a run without end
+    *(("compare", {key: _HUGE, "functionals": _ONE}, key)
+      for key in ("replicates", "k_max", "topology")),
+    ("converge", {"replicates": _HUGE}, "replicates"),
+    ("converge", {"n_ladder": [2, _HUGE]}, "n_ladder"),
+    *(("duality", {key: _HUGE}, key)
+      for key in ("n_part", "replicates", "mv_replicates")),
+    ("identities", {"replicates": _HUGE}, "replicates"),
+    ("simulate", {"mode": "levels", "k_max": _HUGE}, "k_max"),
 ])
 def test_bad_config_value_exits_2_and_names_it(tmp_path, capsys, command,
                                                extra, key):
@@ -426,11 +437,11 @@ _IDENTITIES_FUZZ = {
     # 1e-3 and 1e-4 put the splitting floor 32 beta dt inside (eps, delta)
     "dt": (0.01, 0.02, 1e-3, 1e-4, None, 0.0, 0.03, math.nan, math.inf, "x"),
     "horizon": (0.1, 0.2, None, 0.0, -1.0, math.inf, "x"),
-    "replicates": (100, 101, 99, 0, 2.5, "x"),
+    "replicates": (100, 101, 99, 0, 2.5, "x", _HUGE),
 }
 _DUALITY_FUZZ = {
-    "n_part": (2, 5, 0, 1, -3, 2.5, math.nan, "x"),
-    "mv_replicates": (1, 4, 12, None, 0, -1, 2.5, "x"),
+    "n_part": (2, 5, 0, 1, -3, 2.5, math.nan, "x", _HUGE),
+    "mv_replicates": (1, 4, 12, None, 0, -1, 2.5, "x", _HUGE),
     "duality_points": (
         [[1.0, 1.0, 0.1]], [[0.5, 2.0, 0.0]],
         [[0.2, 0.3, 0.05], [1.0, 1.0, 0.1]], [[1.0, 1.0, -0.1]],
@@ -444,7 +455,8 @@ _DUALITY_FUZZ = {
 # past the float range among them
 _COMMON_FUZZ = {
     "seed": (0, 7, 2 ** 70, None, -1, 2.5, True, "7", math.inf, _BIG),
-    "replicates": (100, 120, None, 99, 0, 100.0, False, "100", math.inf, _BIG),
+    "replicates": (100, 120, None, 99, 0, 100.0, False, "100", math.inf, _BIG,
+                   _HUGE),
     "dt": (0.01, 0.02, None, 0.0, 0.03, -0.01, True, "0.01", math.nan,
            math.inf, _BIG),
     "delta": (0.1, 0.3, None, 0.0, -1.0, 1e-300, True, "0.1", math.inf, _BIG),
@@ -462,7 +474,7 @@ _FUNCTIONAL_FUZZ = (
     [{"kind": "cubic"}], "x")
 _TOPOLOGY_FUZZ = (2, 3, {"entries": [[0.5, 0.5], [0.5, 0.5]]}, None, 0, -1,
                   2.5, True, "2", [[1.0]], {"entries": [[math.nan]]},
-                  {"entries": [[math.inf, 0.0], [0.0, 1.0]]}, _BIG)
+                  {"entries": [[math.inf, 0.0], [0.0, 1.0]]}, _BIG, _HUGE)
 _X_INIT_FUZZ = ([0.2], [0.1, 0.1], [], None, [0.1] * 4, [-0.1], [math.nan],
                 [math.inf], ["a"], 0.5, [True], [_BIG])
 _COMPARE_FUZZ = dict(
@@ -471,14 +483,14 @@ _COMPARE_FUZZ = dict(
     theta=(0.0, 1.0, None, -1.0, math.nan, math.inf, "1", True, _BIG),
     diag_fraction=(0.1, 0.5, 1.0, 0.0, None, -0.1, 1.5, math.nan, math.inf,
                    1e300, "x", True, _BIG),
-    k_max=(0, 2, None, -1, 2.5, "x", True, _BIG),
+    k_max=(0, 2, None, -1, 2.5, "x", True, _BIG, _HUGE),
     generation_cap=(0, 1, None, -1, 2.5, "x", _BIG),
     tree_dt=(0.01, 0.02, None, 0.03, 0.0, -0.01, math.nan, math.inf, "x"),
     boundary=("exact", "clip", "bridge", None, "bogus", 1, True, ["exact"]))
 _CONVERGE_FUZZ = dict(
     _COMMON_FUZZ, x_init=_X_INIT_FUZZ, theta=_COMPARE_FUZZ["theta"],
     n_ladder=([1, 2], [3], [2, 1], None, [], [0], [-1], [2.5], [math.inf],
-              [math.nan], [True], ["a"], "x", [_BIG]),
+              [math.nan], [True], ["a"], "x", [_BIG], [2, _HUGE]),
     tent_support=([0.5, 1.5], [0.1, 0.3], None, [1.5, 0.5], [0.0, 1.0],
                   [0.5], [0.5, 1.0, 2.0], [math.nan, 1.0], [0.5, math.inf],
                   [], "x", [0.5, _BIG]),
@@ -602,10 +614,22 @@ def test_runs_load_no_scipy_integrate_optimize_or_stats(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
 
+# the files each command writes into --out (the README's table)
+_FILES = {"analyze": ["analyze.csv", "analyze.json", "survival.csv"],
+          "simulate": ["simulate.csv", "simulate.json"],
+          "tree": ["spectrum.csv", "tree.csv", "tree.json"],
+          "duality": ["duality.csv", "duality.json"],
+          "compare": ["comparison.csv", "comparison.json"],
+          "converge": ["convergence.csv", "convergence.json"],
+          "identities": ["identities.csv", "identities.json"]}
+
+
 def test_every_command_runs_with_scipy_imports_blocked(tmp_path):
     # numpy is the only runtime dependency: with a finder in front that
     # refuses every scipy import, the package imports and all seven
-    # commands run, and no scipy module is ever loaded
+    # commands run, and no scipy module is ever loaded; each writes the
+    # files of its row in the README table, and a tree without bin_edges
+    # writes no spectrum.csv
     logistic = {"drift": {"family": "logistic",
                           "params": {"gamma": 1.0, "K": 1.0}},
                 "diffusion": {"family": "linear", "params": {"beta": 1.0}}}
@@ -629,8 +653,11 @@ def test_every_command_runs_with_scipy_imports_blocked(tmp_path):
                        "eps": 1e-3, "dt": 1e-2, "horizon": 2.0,
                        "delta": 0.1, "theta": 1.0, "replicates": 200},
     }
-    for cmd, cfg in configs.items():
-        (tmp_path / f"{cmd}.json").write_text(json.dumps(cfg))
+    runs = {cmd: cmd for cmd in configs}
+    configs["tree_without_bins"] = dict(small, theta=1.0, x_init=[0.5])
+    runs["tree_without_bins"] = "tree"
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     code = (
         "import sys\n"
         "class NoScipy:\n"
@@ -643,9 +670,9 @@ def test_every_command_runs_with_scipy_imports_blocked(tmp_path):
         "import islandsim\n"
         "from islandsim.cli import cli_main\n"
         "assert not scipy_modules(), scipy_modules()\n"
-        f"for cmd in {list(configs)!r}:\n"
-        f"    cfg = {str(tmp_path)!r} + '/' + cmd + '.json'\n"
-        f"    out = {str(tmp_path)!r} + '/out/' + cmd\n"
+        f"for name, cmd in {runs!r}.items():\n"
+        f"    cfg = {str(tmp_path)!r} + '/' + name + '.json'\n"
+        f"    out = {str(tmp_path)!r} + '/out/' + name\n"
         "    assert cli_main([cmd, '--config', cfg, '--out', out]) == 0, cmd\n"
         "    assert not scipy_modules(), (cmd, scipy_modules())\n")
     src = os.path.dirname(os.path.dirname(islandsim.__file__))
@@ -654,7 +681,10 @@ def test_every_command_runs_with_scipy_imports_blocked(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert sorted(os.listdir(tmp_path / "out")) == sorted(configs)
-
+    for name, cmd in runs.items():
+        files = [f for f in _FILES[cmd]
+                 if name == cmd or f != "spectrum.csv"]
+        assert sorted(os.listdir(tmp_path / "out" / name)) == files, name
 
 
 # -- exit codes ---------------------------------------------------------------------

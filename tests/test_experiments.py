@@ -14,6 +14,7 @@ from islandsim import (
     DomainInterval,
     ExpDecreasingConcave,
     ExperimentConfig,
+    ExperimentReport,
     LinearDiffusion,
     LinearDrift,
     Logistic,
@@ -270,21 +271,16 @@ def test_split_q_mass_matches_the_plain_estimator_on_feller():
 
 def test_chi2_quantile_is_scipy_stats_bit_for_bit():
     for dof in range(1, 65):
-        assert _chi2_ppf(0.99, dof) == float(stats.chi2.ppf(0.99, dof)), dof
+        assert _chi2_ppf(dof) == float(stats.chi2.ppf(0.99, dof)), dof
 
 
 def test_chi2_quantile_inversion_matches_scipy_stats():
-    # above the table and off q = 0.99 the quantile is inverted in the
-    # module; scipy's own value is a few ulp from the true one, so compare
-    # at 1e-12 relative (about 4500 ulp; the inversion stays within ~100)
-    cases = [(0.99, dof) for dof in range(65, 1001)]
-    # q = 0.001 at dof 1 starts from the small-x power law, not Wilson-Hilferty
-    cases += [(q, dof) for q in (0.001, 0.5, 0.95, 0.999)
-              for dof in (1, 4, 100)]
-    for q, dof in cases:
-        ref = float(stats.chi2.ppf(q, dof))
-        assert _chi2_ppf(q, dof) == pytest.approx(ref, rel=1e-12, abs=0), \
-            (q, dof)
+    # above the table the 0.99 quantile is inverted in the module; scipy's
+    # own value is a few ulp from the true one, so compare at 1e-12 relative
+    # (about 4500 ulp; the inversion stays within ~100)
+    for dof in range(65, 1001):
+        ref = float(stats.chi2.ppf(0.99, dof))
+        assert _chi2_ppf(dof) == pytest.approx(ref, rel=1e-12, abs=0), dof
 
 
 def test_analyze_rows_logistic_and_feller():
@@ -346,3 +342,34 @@ def test_report_write_is_deterministic(tmp_path):
     p2 = rep.write(str(tmp_path / "b"))
     assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
     assert open(p1[1], "rb").read() == open(p2[1], "rb").read()
+    # a report with a table: the CSV paths, the report's own first, then
+    # the JSON path
+    rep = run_analyze(base_cfg())
+    assert set(rep.tables) == {"survival"}
+    for sub in ("c", "d"):
+        out = tmp_path / sub
+        assert rep.write(str(out)) == tuple(
+            str(out / n) for n in ("analyze.csv", "survival.csv",
+                                   "analyze.json"))
+    for name in ("analyze.csv", "survival.csv", "analyze.json"):
+        assert (tmp_path / "c" / name).read_bytes() == \
+            (tmp_path / "d" / name).read_bytes(), name
+
+
+def test_report_write_streams_each_rows_object_once(tmp_path):
+    # rows may be generators: write iterates each one once, in table order
+    def rows(n):
+        yield from ((i, 0.5 * i, i % 2 == 0) for i in range(n))
+
+    rep = ExperimentReport("demo", 3, {"k": 1}, ("i", "x", "even"), rows(3),
+                           {"m": 1.0}, {"ok": True},
+                           {"one": (("i", "x", "even"), rows(1)),
+                            "two": (("i", "x", "even"), rows(2))})
+    paths = rep.write(str(tmp_path / "out"))
+    assert paths == tuple(str(tmp_path / "out" / n) for n in
+                          ("demo.csv", "one.csv", "two.csv", "demo.json"))
+    assert (tmp_path / "out" / "demo.csv").read_text() == (
+        "i,x,even\n0,0.0,true\n1,0.5,false\n2,1.0,true\n")
+    assert (tmp_path / "out" / "two.csv").read_text().count("\n") == 3
+    doc = json.loads((tmp_path / "out" / "demo.json").read_text())
+    assert doc["metrics"] == {"m": 1.0} and doc["verdicts"] == {"ok": True}

@@ -17,6 +17,7 @@ from islandsim import (
     ConfigError,
     DomainError,
     DomainInterval,
+    ExperimentConfig,
     LinearDiffusion,
     LinearDrift,
     Logistic,
@@ -26,7 +27,7 @@ from islandsim import (
     SelectionMutation,
     TimeGrid,
     WrightFisher,
-    export_path_csv,
+    run_simulate,
     sample_system_stats,
     simulate_single,
     simulate_system,
@@ -740,13 +741,19 @@ def test_object_level_system_matches_the_batch_engine(mode):
 
 # -- CSV export -------------------------------------------------------------------
 
+def _path_csv_lines(tmp_path, mode, **kw):
+    # the simulate command's path CSV, written by its report
+    cfg = ExperimentConfig(spec=logistic_spec(), grid=TimeGrid(0.0, 0.1, 0.05),
+                           replicates=100, seed=2, topology=2, **kw)
+    paths = run_simulate(cfg, mode).write(str(tmp_path))
+    assert paths == (str(tmp_path / "simulate.csv"),
+                     str(tmp_path / "simulate.json"))
+    return (tmp_path / "simulate.csv").read_text().strip().split("\n")
+
+
 def test_export_path_csv_format(tmp_path):
-    g = TimeGrid(0.0, 0.1, 0.05)
-    p = simulate_system(logistic_spec(), 2, 0.0, np.array([0.5, 0.25]), g,
-                        seed=2)
-    f = tmp_path / "path.csv"
-    export_path_csv(p, str(f))
-    lines = f.read_text().strip().split("\n")
+    lines = _path_csv_lines(tmp_path, "uniform", theta=0.0,
+                            x_init=(0.5, 0.25))
     assert lines[0] == "t,island,level,value"
     assert lines[1] == "0.0,0,-1,0.5"
     assert "np.float64" not in lines[1]
@@ -755,11 +762,6 @@ def test_export_path_csv_format(tmp_path):
 
 
 def test_export_level_path_csv_has_level_rows(tmp_path):
-    g = TimeGrid(0.0, 0.1, 0.05)
-    p = simulate_system(logistic_spec(), 2, 1.0, np.zeros(2), g, seed=2,
-                        mode="levels", k_max=1)
-    f = tmp_path / "path.csv"
-    export_path_csv(p, str(f))
-    lines = f.read_text().strip().split("\n")
+    lines = _path_csv_lines(tmp_path, "levels", theta=1.0, k_max=1)
     levels = {int(line.split(",")[2]) for line in lines[1:]}
     assert levels == {-1, 0, 1}

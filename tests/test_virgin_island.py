@@ -15,15 +15,15 @@ from islandsim import (
     CoefficientSpec,
     ConfigError,
     DomainInterval,
+    ExperimentConfig,
     LinearDiffusion,
     LinearDrift,
     Logistic,
     TimeGrid,
     build_tree,
+    run_tree,
     sample_tree_stats,
     scale_function,
-    export_tree_csv,
-    export_spectrum_csv,
 )
 from islandsim.exceptions import SolverError
 from islandsim import virgin_island
@@ -228,16 +228,29 @@ def test_spectrum_counts_roots_at_time_zero():
     assert snap.counts[1] == 1  # 0.7 lies in [0.5, 1.0)
 
 
+def _tree_cfg(grid, x_init, theta, seed, **kw):
+    return ExperimentConfig(spec=logistic_spec(), grid=grid, replicates=100,
+                            seed=seed, delta=0.1, theta=theta, x_init=x_init,
+                            **kw)
+
+
 def test_spectrum_export(tmp_path):
     g = TimeGrid(0.0, 1.0, 0.01)
     tree = build_tree(logistic_spec(), (0.7,), 0.5, 0.1, g, seed=2)
     snap = tree.spectrum((0.1, 0.5, 1.0, 2.0))
     assert snap.time == 1.0  # the horizon by default
-    f = tmp_path / "spec.csv"
-    export_spectrum_csv(snap, str(f))
-    lines = f.read_text().strip().split("\n")
+    rep = run_tree(_tree_cfg(g, (0.7,), 0.5, 2, bin_edges=(0.1, 0.5, 1.0, 2.0)),
+                   spectrum=True)
+    paths = rep.write(str(tmp_path))
+    assert paths == tuple(str(tmp_path / n) for n in
+                          ("tree.csv", "spectrum.csv", "tree.json"))
+    lines = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
     assert lines[0] == "t,bin_lo,bin_hi,count"
     assert len(lines) == 4
+    # the report's tree is the same tree: same times and counts
+    assert [line.split(",")[0] for line in lines[1:]] == ["1.0"] * 3
+    assert [int(line.split(",")[3]) for line in lines[1:]] == \
+        snap.counts.tolist()
 
 
 def test_spectrum_is_the_masses_at_its_node():
@@ -255,9 +268,10 @@ def test_spectrum_is_the_masses_at_its_node():
 def test_export_tree_csv_format(tmp_path):
     g = TimeGrid(0.0, 0.05, 0.01)  # short horizon forces censoring
     tree = build_tree(logistic_spec(), (0.8,), 0.0, 0.1, g, seed=3)
-    f = tmp_path / "tree.csv"
-    export_tree_csv(tree, str(f))
-    lines = f.read_text().strip().split("\n")
+    paths = run_tree(_tree_cfg(g, (0.8,), 0.0, 3), spectrum=False).write(
+        str(tmp_path))
+    assert paths == (str(tmp_path / "tree.csv"), str(tmp_path / "tree.json"))
+    lines = (tmp_path / "tree.csv").read_text().strip().split("\n")
     assert lines[0] == "island_id,parent_id,generation,s,T0,peak,area"
     root_row = lines[1].split(",")
     assert root_row[:4] == ["0", "", "0", "0.0"]  # roots have no parent
