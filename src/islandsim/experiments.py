@@ -31,9 +31,10 @@ from .coefficients import (CoefficientSpec, LinearDiffusion, Logistic,
                            DRIFT_FAMILIES, DIFFUSION_FAMILIES)
 from .exceptions import ConfigError
 from .mean_field import duality_gap
-from .sde import (MigrationMatrix, TimeGrid, _check_boundary, _check_budget,
-                  _n_islands, _report_nodes, sample_system_stats,
-                  simulate_single, simulate_system, single_batch_stats)
+from .sde import (SYSTEM_CHUNK, MigrationMatrix, TimeGrid, _check_boundary,
+                  _check_budget, _check_state, _n_islands, _report_nodes,
+                  sample_system_stats, simulate_single, simulate_system,
+                  single_batch_stats)
 from .virgin_island import (bin_count_reducer, build_tree, sample_tree_stats,
                             total_mass_reducer)
 
@@ -496,11 +497,13 @@ def run_comparison(cfg: ExperimentConfig) -> ExperimentReport:
     nodes = _report_nodes([cfg.grid.node_of(t) for t in times], cfg.grid)
 
     x0 = _system_x0(cfg.x_init, cfg.topology)
+    diag_reps = max(100, int(cfg.replicates * cfg.diag_fraction))
+    # the loop-free chunk state, before the unsplit run spends its time
+    _check_state(x0, (min(SYSTEM_CHUNK, diag_reps),), cfg.k_max)
     reducers = {"total": lambda block: block.sum(axis=1)}
     sys_stats = sample_system_stats(cfg.spec, cfg.topology, cfg.theta, x0,
                                     cfg.grid, cfg.seed, cfg.replicates, nodes,
                                     reducers, tag=21)["total"]
-    diag_reps = max(100, int(cfg.replicates * cfg.diag_fraction))
     diag_stats = sample_system_stats(cfg.spec, cfg.topology, cfg.theta, x0,
                                      cfg.grid, cfg.seed, diag_reps, nodes,
                                      reducers, tag=22, mode="loop_free",
@@ -562,6 +565,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     t = cfg.grid.horizon if cfg.eval_time is None else float(cfg.eval_time)
     node = cfg.grid.node_of(t)
     F = lambda u: -np.expm1(-u)
+    x0s = [_system_x0(cfg.x_init, int(N)) for N in cfg.n_ladder]
 
     tgrid = cfg.tree_grid()
     tree_red = {"tent_sum": lambda rep, val, r:
@@ -578,9 +582,8 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
                "gap", "in_trend")
     rows, metrics = [], {}
     gaps = {}
-    for i, N in enumerate(cfg.n_ladder):
-        N = int(N)
-        x0 = _system_x0(cfg.x_init, N)
+    for i, x0 in enumerate(x0s):
+        N = x0.size
         vals = sample_system_stats(cfg.spec, N, cfg.theta, x0, cfg.grid,
                                    cfg.seed, cfg.replicates, [node], reducers,
                                    tag=40 + i)["tent_sum"][0]

@@ -2,15 +2,16 @@
 
 The nonlinear process dM = (E M - M + mu(M)) dt + sqrt(sigma2(M)) dB is
 approximated by a synchronously coupled particle system: every particle sees
-the current empirical mean instead of E M_t.  The empirical mean is summed
-with math.fsum, so it is exact for the given values and therefore invariant
-under any permutation of the particles; reassigning the per-particle noise
-streams permutes the particle values but reproduces the mean curve bit for
-bit.  Stepping is by default the plain clamp scheme, truncated Euler clamped
-into [0, upper] on one noise stream per particle (0 is not absorbing: the
-mean-inflow term re-ignites particles); "exact" takes the batch engines'
-vector step with the mean as inflow.  Only the clamp keeps the mean curve
-bit-exact under particle permutation, since only it draws per particle.
+the current empirical mean instead of E M_t.  The empirical mean sums the
+sorted values, so it depends only on their multiset and is therefore
+invariant under any permutation of the particles; reassigning the
+per-particle noise streams permutes the particle values but reproduces the
+mean curve bit for bit.  Stepping is by default the plain clamp scheme,
+truncated Euler clamped into [0, upper] on one noise stream per particle (0
+is not absorbing: the mean-inflow term re-ignites particles); "exact" takes
+the batch engines' vector step with the mean as inflow.  Only the clamp
+keeps the mean curve bit-exact under particle permutation, since only it
+draws per particle.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def simulate_mckean_vlasov(spec: CoefficientSpec, init, n_part: int,
         gen = rngmod.substream(seed, rngmod.MEAN_FIELD, ensemble_tag)
     mean_curve = np.empty(n + 1)
     for k in range(n + 1):
-        mean_curve[k] = math.fsum(v.tolist()) / n_part
+        mean_curve[k] = np.sort(v).sum() / n_part
         if k == n:
             break
         if gen is None:
@@ -128,7 +129,7 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     within-ensemble coupling through the empirical mean is O(1/n_part), and
     running several independent ensembles keeps the SE honest.  Final
     particle values over 256 MB in all (kept for the SE) raise ConfigError
-    before the first ensemble.
+    before the tree side runs.
     """
     if min(gamma, K, beta) <= 0.0:
         raise ConfigError("gamma, K, beta must be positive")
@@ -152,6 +153,7 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     n_ensembles = -(-mv_total // n_part)
     if grid.t0 != 0.0 or abs(grid.horizon - t) > 1e-9 * max(1.0, t):
         raise ConfigError("mc grid must span [0, t]")
+    _check_budget(8 * n_ensembles * n_part, "n_part or mv_replicates")
     tree_dt = float(mc.get("tree_dt", grid.dt))
     tree_grid = grid if tree_dt == grid.dt else TimeGrid(0.0, t, tree_dt)
     spec = CoefficientSpec(Logistic(gamma, K), LinearDiffusion(beta))
@@ -162,7 +164,6 @@ def duality_gap(gamma: float, K: float, beta: float, x: float, y: float,
     g = np.exp(-c * x * res["V"][0])
     lhs = float(g.mean())
     se_lhs = float(g.std(ddof=1) / math.sqrt(g.size))
-    _check_budget(8 * n_ensembles * n_part, "n_part or mv_replicates")
     vals = []
     for e in range(n_ensembles):
         ens = simulate_mckean_vlasov(

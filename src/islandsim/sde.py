@@ -62,8 +62,12 @@ from .coefficients import CoefficientSpec
 from .exceptions import ConfigError, DomainError
 
 # fixed batch chunks (replicates per stream); results depend on them, never on
-# worker count
-CHUNK = 8192
+# worker count.  A single-island chunk steps until its longest lifetime ends,
+# mostly on a few live paths at a fixed cost per step, so CHUNK is large enough
+# that a run pays that tail about once: on a 2-core host 131 072 took
+# acceptance 5 and 6 from 39 s to 9 s at flat peak RSS (262 144 added 15 MB),
+# and a million paths still make 8 chunks.
+CHUNK = 131_072
 SYSTEM_CHUNK = 256
 
 
@@ -222,11 +226,16 @@ def _check_system(spec: CoefficientSpec, topology, theta: float, x0,
     return x0, (None if mode == "unsplit" else int(k_max))
 
 
-def _start_state(x0: np.ndarray, lead: tuple, k_max: int | None) -> np.ndarray:
-    """x0 repeated over the leading axes; with levels, all of it in level 0."""
+def _check_state(x0: np.ndarray, lead: tuple, k_max: int | None) -> None:
+    """Refuse a `_start_state(x0, lead, k_max)` over the array budget."""
     levels = 1 if k_max is None else k_max + 1
     _check_budget(8 * math.prod(lead) * levels * x0.size,
                   "topology, n_ladder or k_max")
+
+
+def _start_state(x0: np.ndarray, lead: tuple, k_max: int | None) -> np.ndarray:
+    """x0 repeated over the leading axes; with levels, all of it in level 0."""
+    _check_state(x0, lead, k_max)
     if k_max is None:
         return np.broadcast_to(x0, lead + x0.shape).copy()
     v = np.zeros(lead + (k_max + 1, x0.size))

@@ -383,6 +383,30 @@ def test_bad_config_value_exits_2_and_names_it(tmp_path, capsys, command,
     assert not os.path.exists(tmp_path / "o")  # refused before any output
 
 
+@pytest.mark.parametrize("command, extra, key, engine", [
+    *(("duality", {key: _HUGE}, key, "islandsim.mean_field.sample_tree_stats")
+      for key in ("n_part", "mv_replicates")),
+    ("compare", {"k_max": _HUGE, "functionals": _ONE}, "k_max",
+     "islandsim.experiments.sample_system_stats"),
+    ("converge", {"n_ladder": [2, _HUGE]}, "n_ladder",
+     "islandsim.experiments.sample_tree_stats"),
+])
+def test_budget_is_refused_before_the_first_engine_runs(tmp_path, capsys,
+                                                        monkeypatch, command,
+                                                        extra, key, engine):
+    # the mean field, the loop-free run and the last ladder rung come last,
+    # but their budgets are checked before the first engine starts
+    def first_engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the budget was checked")
+
+    monkeypatch.setattr(engine, first_engine)
+    cfg = write_cfg(tmp_path, **{"topology": 2, "x_init": [0.5],
+                                 "theta": 1.0, **extra})
+    assert cli_main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
 # key -> (well-formed values, malformed ones); well-formed values can still
 # fail a check (an off-grid dt) or outgrow the tree (delta 1e-300), and
 # null keeps the default

@@ -33,6 +33,8 @@ from islandsim import (
     simulate_system,
     single_batch_stats,
 )
+from islandsim import rng as rngmod
+from islandsim import sde
 from islandsim.sde import _exact_kernel, _report_nodes, _step, switch_level
 from islandsim.rng import substream
 from islandsim.virgin_island import sample_tree_stats, total_mass_reducer
@@ -182,6 +184,26 @@ def test_batch_determinism():
                            replicates=500, tag=3, max_steps=500)
     assert np.array_equal(a.area, b.area)
     assert np.array_equal(a.hit, b.hit)
+
+
+def test_batch_chunks_are_independent_runs_laid_end_to_end(monkeypatch):
+    # 12 replicates in chunks of 5: chunk c is a run of its min(5, 12 - 5c)
+    # paths from stream (seed, EXPERIMENT, tag, c), so the first chunk is the
+    # 5-replicate run (c = 0) and censored is the sum over the chunks
+    monkeypatch.setattr(sde, "CHUNK", 5)
+    kw = dict(dt=0.01, seed=5, tag=3, max_steps=40, stop_level=0.6)
+    whole = single_batch_stats(logistic_spec(), 0.3, replicates=12, **kw)
+    parts = []
+    for c, n in enumerate((5, 5, 2)):  # chunk c alone: stream index 0 -> c
+        monkeypatch.setattr(rngmod, "substream", lambda seed, *key, c=c:
+                            substream(seed, *key[:-1], key[-1] + c))
+        parts.append(single_batch_stats(logistic_spec(), 0.3, replicates=n,
+                                        **kw))
+    for field in ("area", "peak", "hit"):
+        assert np.array_equal(getattr(whole, field), np.concatenate(
+            [getattr(p, field) for p in parts]))
+    assert whole.censored == sum(p.censored for p in parts)
+    assert 0 < whole.censored < 12 and whole.hit.any()
 
 
 @pytest.mark.parametrize("boundary", ["exact", "bridge", "clip"])
